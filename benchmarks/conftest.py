@@ -34,17 +34,6 @@ BENCH_ENGINE_FILE = os.environ.get("REPRO_BENCH_ENGINE_FILE",
 #: Per-bench wall times collected by the timing hook, keyed by test id.
 _BENCH_TIMINGS = {}
 
-#: Free-form metrics benches publish (e.g. the throughput bench's KIPS
-#: numbers), keyed by metric name; lands in ``BENCH_engine.json``.
-_BENCH_METRICS = {}
-
-
-@pytest.fixture(scope="session")
-def bench_metrics():
-    """Session-wide dict benches write measurements into; everything in
-    it is archived under ``"metrics"`` in ``BENCH_engine.json``."""
-    return _BENCH_METRICS
-
 
 @pytest.fixture(scope="session")
 def population():
@@ -86,7 +75,6 @@ def pytest_sessionfinish(session, exitstatus):
             {"name": name, "wall_seconds": seconds}
             for name, seconds in sorted(_BENCH_TIMINGS.items())
         ],
-        "metrics": {k: _BENCH_METRICS[k] for k in sorted(_BENCH_METRICS)},
     }
     try:
         with open(BENCH_ENGINE_FILE, "w", encoding="utf-8") as f:

@@ -41,7 +41,7 @@ from .config import (  # noqa: F401
     all_generations,
     get_generation,
 )
-from .core import GenerationSimulator, SimulationResult, simulate  # noqa: F401
+from .core import GenerationSimulator, SimulationResult  # noqa: F401
 from .traces import (  # noqa: F401
     Trace,
     TraceRecord,

@@ -6,8 +6,4 @@ from .interval import (  # noqa: F401
     interval_model,
 )
 from .scoreboard import CoreStats, Scoreboard  # noqa: F401
-from .simulator import (  # noqa: F401
-    GenerationSimulator,
-    SimulationResult,
-    simulate,
-)
+from .simulator import GenerationSimulator, SimulationResult  # noqa: F401

@@ -29,7 +29,7 @@ series bit-identical between serial and parallel execution.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Union
 
 from ..config import GenerationConfig
 from ..frontend.predictor import BranchUnit
@@ -38,7 +38,7 @@ from ..metrics import formulas
 from ..metrics.registry import MetricRegistry, StatsView
 from ..observe.events import InstEvent
 from ..observe.sink import TraceSink
-from ..traces.compiled import CompiledTrace
+from ..traces.compiled import CompiledTrace, compile_trace
 from ..traces.types import Kind, Trace, TraceRecord
 
 #: Execution latencies (cycles) for non-memory, non-FP classes.
@@ -47,6 +47,11 @@ _LAT_MUL = 3
 _LAT_DIV = 12
 #: Window of producer completion times retained for dependence lookups.
 _DEP_WINDOW = 64
+#: InstEvent names: of each kind-column value, and of the loop's
+#: integer stall buckets (0 base, 1 frontend_bubbles, 2 memory,
+#: 3 mispredict).
+_KIND_NAMES = tuple(Kind(k).name for k in range(16))
+_BUCKET_NAMES = ("base", "frontend_bubbles", "memory", "mispredict")
 
 
 class CoreStats(StatsView):
@@ -196,55 +201,13 @@ class Scoreboard:
 
     # -- helpers -------------------------------------------------------------
 
-    def _exec_latency(self, rec: TraceRecord) -> float:
-        k = rec.kind
-        if k == Kind.ALU or k == Kind.NOP:
-            return _LAT_ALU
-        if k == Kind.MOV:
-            return 0.0 if self.config.has_zero_cycle_moves else _LAT_ALU
-        if k == Kind.MUL:
-            return _LAT_MUL
-        if k == Kind.DIV:
-            return _LAT_DIV
-        fmac, fmul, fadd = self.config.fp_latencies
-        if k == Kind.FP_MAC:
-            return fmac
-        if k == Kind.FP_MUL:
-            return fmul
-        if k == Kind.FP_ADD:
-            return fadd
-        return _LAT_ALU  # branches resolve in one cycle once issued
-
-    def _port_for(self, rec: TraceRecord) -> Optional[_PortGroup]:
-        k = rec.kind
-        if k in (Kind.ALU, Kind.NOP):
-            return self._simple
-        if k == Kind.MOV:
-            return None if self.config.has_zero_cycle_moves else self._simple
-        if k == Kind.MUL:
-            return self._complex
-        if k == Kind.DIV:
-            return self._div
-        if k in (Kind.FP_ADD, Kind.FP_MUL):
-            return self._fp
-        if k == Kind.FP_MAC:
-            return self._fmac
-        if k == Kind.LOAD:
-            return self._load
-        if k == Kind.STORE:
-            return self._store
-        return self._branch
-
     def _dispatch_tables(self):
-        """16-entry per-kind latency and port tables for the flat loop —
-        ``lat[kind]``/``port[kind]`` reproduce :meth:`_exec_latency` and
-        :meth:`_port_for` entry for entry (memory kinds take their
-        latency from the hierarchy, so their ``lat`` slots are unused).
-        """
+        """Per-kind latency and port tables for the ``kind`` column
+        (memory kinds take their latency from the hierarchy)."""
         cfg = self.config
         zcm = cfg.has_zero_cycle_moves
         fmac, fmul, fadd = cfg.fp_latencies
-        lat: List[float] = [_LAT_ALU] * 16
+        lat: List[float] = [_LAT_ALU] * 16  # branches: 1 cycle once issued
         lat[int(Kind.MOV)] = 0.0 if zcm else _LAT_ALU
         lat[int(Kind.MUL)] = _LAT_MUL
         lat[int(Kind.DIV)] = _LAT_DIV
@@ -266,263 +229,20 @@ class Scoreboard:
 
     # -- the main loop -----------------------------------------------------------
 
-    def run(self, trace: Trace,
+    def run(self, trace: Union[Trace, CompiledTrace],
             on_window: Optional[Callable[[], None]] = None,
             window_interval: int = 0) -> CoreStats:
-        # Compiled traces take the flat-array fast loop unless a flight
-        # recorder is attached (the recorder wants record objects and a
-        # per-record emit; correctness is identical either way, so the
-        # rare traced run just uses the reference loop via __iter__).
-        if isinstance(trace, CompiledTrace) and self.sink is None:
-            return self._run_compiled(trace, on_window, window_interval)
-        cfg = self.config
-        stats = self.stats
-        # Hot-loop aliases for the registry cells: `cell.value += 1` is a
-        # slot store, so the per-instruction cost matches the old
-        # dataclass attribute bumps.
-        c_instr = stats.cell("instructions")
-        c_cycles = stats.cell("cycles")
-        c_loads = stats.cell("loads")
-        c_stores = stats.cell("stores")
-        c_mispredicts = stats.cell("branch_mispredicts")
-        c_bubbles = stats.cell("fetch_bubble_cycles")
-        c_mp_stall = stats.cell("mispredict_stall_cycles")
-        c_ic_stall = stats.cell("icache_stall_cycles")
-        c_cascaded = stats.cell("cascaded_loads")
-        c_zcm = stats.cell("zero_cycle_moves")
-        c_st_mp = stats.cell("stall_mispredict_cycles")
-        c_st_fe = stats.cell("stall_frontend_cycles")
-        c_st_mem = stats.cell("stall_memory_cycles")
+        """Simulate ``trace`` from where the previous segment stopped.
 
-        # Local aliases of the resumable execution state (list state is
-        # shared in place; scalars are written back after the loop).
-        completions = self._completions  # ring buffer
-        is_load_at = self._is_load_at
-        rob = self._rob  # retire-time ring
-        rob_pos = self._rob_pos
-        fetch_time = self._fetch_time
-        group_count = self._group_count
-        group_branches = self._group_branches
-        last_completion = self._last_completion
-        current_fetch_line = self._current_fetch_line
-        i = self._index
-        # Window countdown; 0 disables windowing entirely.  The countdown
-        # carries across run segments so a checkpoint/resume pair closes
-        # windows at the same absolute instruction counts.
-        windowing = window_interval > 0 and on_window is not None
-        if windowing and self._until_window < 0:
-            self._until_window = window_interval
-        until_window = self._until_window if windowing else -1
-        # Flight recorder (None = tracing off).  Tracing only *reads*
-        # values the loop computed anyway, so attaching a sink never
-        # changes simulated timing.
-        trc = self.sink
-        on_branch = self.on_branch
-
-        for rec in trace:
-            c_instr.value += 1
-            ic_stall = 0.0
-            branch_result = None
-
-            # ---- fetch/dispatch supply -----------------------------------
-            if group_count >= cfg.fetch_width:
-                fetch_time += 1.0
-                group_count = 0
-                group_branches = 0
-            if self.icache is not None:
-                line = rec.pc & ~63
-                if line != current_fetch_line:
-                    current_fetch_line = line
-                    stall = self.icache.fetch_line(rec.pc, now=fetch_time)
-                    if stall:
-                        fetch_time += stall
-                        c_ic_stall.value += stall
-                        group_count = 0
-                        group_branches = 0
-                        ic_stall = stall
-            dispatch = fetch_time
-            if trc is not None:
-                ev_fetch = dispatch  # fetch supply before ROB backpressure
-            # ROB occupancy: the slot reused now must have retired.
-            oldest = rob[rob_pos]
-            if oldest > dispatch:
-                dispatch = oldest
-                fetch_time = oldest  # front end backs up behind the ROB
-                group_count = 0
-                group_branches = 0
-            group_count += 1
-
-            # ---- dependences ---------------------------------------------
-            ready = dispatch
-            cascade_ok = (cfg.has_load_load_cascading
-                          and rec.kind == Kind.LOAD)
-            for dist in (rec.src1_dist, rec.src2_dist):
-                if 0 < dist <= _DEP_WINDOW and dist <= i:
-                    t = completions[(i - dist) % _DEP_WINDOW]
-                    if cascade_ok and is_load_at[(i - dist) % _DEP_WINDOW]:
-                        # Load-load cascading: forwarded one cycle early.
-                        t -= 1.0
-                        c_cascaded.value += 1
-                    if t > ready:
-                        ready = t
-
-            # ---- issue + execute -----------------------------------------
-            port = self._port_for(rec)
-            if port is None:
-                issue = ready
-                c_zcm.value += 1
-            else:
-                occupancy = _LAT_DIV if rec.kind == Kind.DIV else 1.0
-                issue = port.issue(ready, occupancy)
-            if rec.kind == Kind.LOAD:
-                c_loads.value += 1
-                if self.memory is not None:
-                    latency = self.memory.access(rec.pc, rec.addr,
-                                                 now=issue, is_store=False)
-                else:
-                    latency = cfg.l1_hit_latency
-            elif rec.kind == Kind.STORE:
-                c_stores.value += 1
-                if self.memory is not None:
-                    self.memory.access(rec.pc, rec.addr, now=issue,
-                                       is_store=True)
-                latency = 1.0  # store-buffer commit, off the critical path
-            else:
-                latency = self._exec_latency(rec)
-            completion = issue + latency
-            completions[i % _DEP_WINDOW] = completion
-            is_load_at[i % _DEP_WINDOW] = rec.kind == Kind.LOAD
-
-            # ---- retirement bookkeeping ----------------------------------
-            rob[rob_pos] = completion
-            rob_pos = (rob_pos + 1) % cfg.rob_size
-            if completion > last_completion:
-                last_completion = completion
-
-            # ---- branch outcome into the front end ------------------------
-            if rec.is_branch:
-                group_branches += 1
-                if self.branch_unit is not None:
-                    if trc is not None:
-                        result = self.branch_unit.process_branch(
-                            rec, now=completion)
-                    else:
-                        result = self.branch_unit.process_branch(rec)
-                    branch_result = result
-                    if result.mispredicted:
-                        c_mispredicts.value += 1
-                        restart = completion + cfg.mispredict_penalty
-                        c_mp_stall.value += max(0.0, restart - fetch_time)
-                        fetch_time = max(fetch_time, restart)
-                        group_count = 0
-                        group_branches = 0
-                    elif rec.taken:
-                        if result.bubbles:
-                            c_bubbles.value += result.bubbles
-                            fetch_time += result.bubbles
-                        # A taken branch ends the fetch group.
-                        fetch_time += 1.0
-                        group_count = 0
-                        group_branches = 0
-                    elif group_branches >= 2:
-                        # Two predictions per cycle max; a second
-                        # not-taken branch closes the group
-                        # (Section IV-A's dual-prediction support).
-                        fetch_time += 1.0
-                        group_count = 0
-                        group_branches = 0
-                else:
-                    if rec.taken:
-                        fetch_time += 1.0
-                        group_count = 0
-                        group_branches = 0
-                if on_branch is not None:
-                    on_branch(rec, i)
-
-            # ---- stall attribution (CPI-stack buckets) -------------------
-            # Mirrors the interval model's CPI buckets; priority
-            # mispredict > front end > memory.  Computed every retire —
-            # the counters feed windowed stall buckets with tracing off,
-            # and the same (bucket, stall) pair stamps the InstEvent, so
-            # a trace histogram reconciles with the counters exactly.
-            bucket = "base"
-            stall = 0.0
-            if ic_stall:
-                bucket = "frontend_bubbles"
-                stall = ic_stall
-            if rec.kind == Kind.LOAD:
-                exposed = latency - cfg.l1_hit_latency
-                if exposed > stall:
-                    bucket = "memory"
-                    stall = exposed
-            if branch_result is not None:
-                if branch_result.mispredicted:
-                    bucket = "mispredict"
-                    stall = float(cfg.mispredict_penalty)
-                elif branch_result.bubbles > stall:
-                    bucket = "frontend_bubbles"
-                    stall = float(branch_result.bubbles)
-            if stall:
-                if bucket == "mispredict":
-                    c_st_mp.value += stall
-                elif bucket == "frontend_bubbles":
-                    c_st_fe.value += stall
-                else:
-                    c_st_mem.value += stall
-
-            # ---- flight recorder -----------------------------------------
-            if trc is not None:
-                trc.emit(InstEvent(
-                    seq=-1, cycle=completion, index=i, pc=rec.pc,
-                    kind=rec.kind.name, fetch=ev_fetch, dispatch=dispatch,
-                    ready=ready, issue=issue, complete=completion,
-                    retire=completion, stall=bucket,
-                    stall_cycles=float(stall)))
-
-            # ---- metrics window boundary ---------------------------------
-            i += 1
-            if windowing:
-                until_window -= 1
-                if until_window == 0:
-                    until_window = window_interval
-                    # Publish a provisional cycle count so the window
-                    # delta sees elapsed cycles; overwritten at end of
-                    # run and at every later boundary, so timing is
-                    # unaffected.
-                    c_cycles.value = max(last_completion, fetch_time, 1.0)
-                    on_window()
-
-        # Write the scalar execution state back for checkpoint/resume.
-        self._rob_pos = rob_pos
-        self._fetch_time = fetch_time
-        self._group_count = group_count
-        self._group_branches = group_branches
-        self._last_completion = last_completion
-        self._current_fetch_line = current_fetch_line
-        self._index = i
-        if windowing:
-            self._until_window = until_window
-        c_cycles.value = max(last_completion, fetch_time, 1.0)
-        return stats
-
-    def _run_compiled(self, trace: CompiledTrace,
-                      on_window: Optional[Callable[[], None]] = None,
-                      window_interval: int = 0) -> CoreStats:
-        """Flat-array twin of the reference loop in :meth:`run`.
-
-        Iterates the compiled trace's parallel columns with per-kind
-        dispatch tables and hoisted locals instead of per-record
-        attribute loads and enum comparisons.  Every computed value —
-        dispatch/ready/issue/completion times, stall attribution,
-        window placement — is produced by the same expressions in the
-        same order as the reference loop; the only structural
-        difference is that the instruction counter is published in
-        batches (before each window boundary and at loop exit) instead
-        of per record, which no mid-loop reader can observe.  Branch
-        records reach the branch unit as full ``TraceRecord`` objects
-        via the compiled trace's sparse branch list.  Bit-identity
-        with the reference loop is pinned by ``tests/test_fastpath.py``.
+        A plain :class:`Trace` is compiled on entry; the loop walks the
+        compiled columns, and branch records reach the branch unit as
+        the compiled trace's ``TraceRecord`` objects.  The instruction
+        counter is published only at window boundaries and at exit,
+        where it is read.  Component methods are looked up per call, so
+        hooks patched onto component instances see every call.
         """
+        if not isinstance(trace, CompiledTrace):
+            trace = compile_trace(trace)
         cfg = self.config
         stats = self.stats
         c_instr = stats.cell("instructions")
@@ -541,7 +261,7 @@ class Scoreboard:
 
         lat_for, port_for = self._dispatch_tables()
 
-        # Column aliases — one decode already happened in compile_trace.
+        # Column aliases — the one decode happened in compile_trace.
         pcs = trace.pc
         kinds = trace.kind
         lines = trace.line
@@ -566,7 +286,13 @@ class Scoreboard:
         process_branch = (branch_unit.process_branch
                           if branch_unit is not None else None)
         on_branch = self.on_branch
+        # Flight recorder (None = tracing off).  Tracing only *reads*
+        # values the loop computed anyway, so attaching a sink never
+        # changes simulated timing.
+        trc = self.sink
 
+        # Local aliases of the resumable execution state (list state is
+        # shared in place; scalars are written back after the loop).
         completions = self._completions  # ring buffer
         is_load_at = self._is_load_at
         rob = self._rob  # retire-time ring
@@ -577,14 +303,16 @@ class Scoreboard:
         last_completion = self._last_completion
         current_fetch_line = self._current_fetch_line
         i = self._index
+        # Window countdown; 0 disables windowing entirely.  The countdown
+        # carries across run segments so a checkpoint/resume pair closes
+        # windows at the same absolute instruction counts.
         windowing = window_interval > 0 and on_window is not None
         if windowing and self._until_window < 0:
             self._until_window = window_interval
         until_window = self._until_window if windowing else -1
 
-        # Batched instruction counter: the reference loop bumps the cell
-        # per record; nothing reads it between window boundaries, so the
-        # fast loop materializes the exact value only where it is read.
+        # Batched instruction counter: nothing reads it between window
+        # boundaries, so the exact value is materialized only there.
         base_index = i
         base_instr = c_instr.value
 
@@ -609,7 +337,8 @@ class Scoreboard:
                         group_count = 0
                         group_branches = 0
                         ic_stall = stall
-            dispatch = fetch_time
+            # `fetched` is the fetch supply before ROB backpressure.
+            fetched = dispatch = fetch_time
             # ROB occupancy: the slot reused now must have retired.
             oldest = rob[rob_pos]
             if oldest > dispatch:
@@ -680,7 +409,9 @@ class Scoreboard:
                 rec = brecs[j]
                 group_branches += 1
                 if process_branch is not None:
-                    result = process_branch(rec)
+                    # `completion` only timestamps the branch unit's
+                    # trace events; it never steers a prediction.
+                    result = process_branch(rec, completion)
                     branch_result = result
                     if result.mispredicted:
                         c_mispredicts.value += 1
@@ -698,7 +429,9 @@ class Scoreboard:
                         group_count = 0
                         group_branches = 0
                     elif group_branches >= 2:
-                        # Two predictions per cycle max (Section IV-A).
+                        # Two predictions per cycle max; a second
+                        # not-taken branch closes the group
+                        # (Section IV-A's dual-prediction support).
                         fetch_time += 1.0
                         group_count = 0
                         group_branches = 0
@@ -711,9 +444,11 @@ class Scoreboard:
                     on_branch(rec, i)
 
             # ---- stall attribution (CPI-stack buckets) -------------------
-            # Same priority as the reference loop (mispredict > front end
-            # > memory); buckets are small ints here since no InstEvent
-            # needs the names.
+            # Mirrors the interval model's CPI buckets; priority
+            # mispredict > front end > memory.  Computed every retire —
+            # the counters feed windowed stall buckets with tracing off,
+            # and the same (bucket, stall) pair stamps the InstEvent, so
+            # a trace histogram reconciles with the counters exactly.
             bucket = 0  # base
             stall = 0.0
             if ic_stall:
@@ -739,12 +474,25 @@ class Scoreboard:
                 else:
                     c_st_mem.value += stall
 
+            # ---- flight recorder -----------------------------------------
+            if trc is not None:
+                trc.emit(InstEvent(
+                    seq=-1, cycle=completion, index=i, pc=pcs[j],
+                    kind=_KIND_NAMES[k], fetch=fetched, dispatch=dispatch,
+                    ready=ready, issue=issue, complete=completion,
+                    retire=completion, stall=_BUCKET_NAMES[bucket],
+                    stall_cycles=float(stall)))
+
             # ---- metrics window boundary ---------------------------------
             i += 1
             if windowing:
                 until_window -= 1
                 if until_window == 0:
                     until_window = window_interval
+                    # Publish the instruction count and a provisional
+                    # cycle count so the window delta sees them; both are
+                    # overwritten at later boundaries and at end of run,
+                    # so timing is unaffected.
                     c_instr.value = base_instr + (i - base_index)
                     c_cycles.value = max(last_completion, fetch_time, 1.0)
                     on_window()

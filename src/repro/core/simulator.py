@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
 from ..config import GenerationConfig, get_generation
-from ..fastpath import fast_enabled
 from ..frontend.predictor import BranchStats, BranchUnit
 from ..memory.hierarchy import MemoryHierarchy, MemoryStats
 from ..memory.icache import InstructionCache
@@ -79,8 +78,7 @@ class GenerationSimulator:
     """
 
     def __init__(self, config: GenerationConfig, corunners: int = 0,
-                 trace_sink: Optional[TraceSink] = None,
-                 fast: Optional[bool] = None) -> None:
+                 trace_sink: Optional[TraceSink] = None) -> None:
         if isinstance(config, str):
             config = get_generation(config)
         self.config = config
@@ -89,15 +87,10 @@ class GenerationSimulator:
         #: Optional flight recorder shared by every component; ``None``
         #: (the default) keeps all emission sites disabled.
         self.trace_sink = trace_sink
-        #: Fast-path state (``None`` defers to ``REPRO_FAST``); forwarded
-        #: to the branch unit, where it enables the pure-hash memo layer.
-        #: Results are identical either way (see ``repro.fastpath``).
-        self.fast = fast_enabled(fast)
         self.ledger = EnergyLedger(registry=self.metrics)
         self.branch_unit = BranchUnit(config, ledger=self.ledger,
                                       registry=self.metrics,
-                                      sink=trace_sink,
-                                      fast=self.fast)
+                                      sink=trace_sink)
         self.memory = MemoryHierarchy(config, ledger=self.ledger,
                                       corunners=corunners,
                                       registry=self.metrics,
@@ -314,19 +307,3 @@ class GenerationSimulator:
         if self.trace_sink is not None and doc["sink"] is not None:
             self.trace_sink.load_state_dict(doc["sink"])
 
-
-def simulate(generation: str, trace: Trace) -> SimulationResult:
-    """Deprecated alias of :func:`repro.run`.
-
-    .. deprecated:: 1.0
-        Use ``repro.run(trace, generation)`` — same result, and it also
-        accepts picklable trace specs and custom configs.
-    """
-    import warnings
-
-    warnings.warn(
-        "repro.simulate(generation, trace) is deprecated; use "
-        "repro.run(trace, generation) instead",
-        DeprecationWarning, stacklevel=2,
-    )
-    return GenerationSimulator(get_generation(generation)).run(trace)

@@ -22,7 +22,6 @@ from typing import (Any, Callable, Dict, List, Optional, Sequence, Tuple,
                     Union)
 
 from ..config import (GENERATION_ORDER, GenerationConfig, get_generation)
-from ..fastpath import fast_enabled
 from ..metrics.windows import DEFAULT_WINDOW_INSTRUCTIONS
 from ..observe.ledger import ledger_enabled
 from ..observe.profile import TaskTiming
@@ -33,9 +32,9 @@ from ..traces.types import Trace
 from ..traces.workloads import standard_suite_specs
 from .cache import TaskCache, clear_memory
 from .results import PopulationResult, SliceMetrics
-from .tasks import (execute_task_heartbeat, population_task,
-                    task_fingerprint, task_instructions, task_label,
-                    warmup_task)
+from .tasks import (_build_compiled, execute_task_heartbeat,
+                    population_task, task_fingerprint, task_instructions,
+                    task_label, warmup_checkpoint, warmup_task)
 
 ProgressFn = Callable[[int, int], None]
 
@@ -353,7 +352,6 @@ def execute_population(
     warmup: int = 0,
     telemetry: Optional[TelemetryConfig] = None,
     ledger: Optional[bool] = None,
-    fast: Optional[bool] = None,
 ) -> Tuple[PopulationResult, EngineStats]:
     """Run the standard suite on each generation, returning result+stats.
 
@@ -376,11 +374,6 @@ def execute_population(
     warnings; ``ledger`` controls the run-ledger append (default: on
     unless ``REPRO_LEDGER=off``).  Both are pure observation: results
     are bit-identical with either on or off.
-
-    ``fast`` selects the compiled-trace fast path (``None`` defers to
-    ``REPRO_FAST``; see ``repro.fastpath``).  Results are bit-identical
-    either way, so the knob is transport-only: it never enters task
-    fingerprints, the population memo key, or archive digests.
     """
     gens = tuple(generations) if generations else GENERATION_ORDER
     configs = [get_generation(g) for g in gens]
@@ -399,7 +392,6 @@ def execute_population(
             "window_interval": window_interval,
             "window_counters": list(counters) if counters else None,
             "warmup": warmup,
-            "fast": fast,
         }
 
     if cache != "off":
@@ -419,7 +411,7 @@ def execute_population(
                 payloads = [population_task(config, spec,
                                             window_interval=window_interval,
                                             window_counters=counters,
-                                            warmup=warmup, fast=fast)
+                                            warmup=warmup)
                             for spec in standard_suite_specs(
                                 n_slices=n_slices,
                                 slice_length=slice_length, seed=seed)
@@ -438,7 +430,7 @@ def execute_population(
     payloads = [population_task(config, spec,
                                 window_interval=window_interval,
                                 window_counters=counters,
-                                warmup=warmup, fast=fast)
+                                warmup=warmup)
                 for spec in specs for config in configs]
     warmup_stats: Optional[EngineStats] = None
     if warmup > 0:
@@ -449,7 +441,7 @@ def execute_population(
         warmups = [warmup_task(config, spec,
                                window_interval=window_interval,
                                window_counters=counters,
-                               warmup=warmup, fast=fast)
+                               warmup=warmup)
                    for spec in specs for config in configs]
         checkpoints, warmup_stats = engine.run_payloads(warmups)
         for payload, state in zip(payloads, checkpoints):
@@ -486,7 +478,6 @@ def run_population(
     window_interval: int = DEFAULT_WINDOW_INSTRUCTIONS,
     window_counters: Optional[Sequence[str]] = None,
     warmup: int = 0,
-    fast: Optional[bool] = None,
 ) -> PopulationResult:
     """Simulate the standard suite on each generation.
 
@@ -506,7 +497,7 @@ def run_population(
         generations=generations, workers=workers, cache=cache,
         cache_dir=cache_dir, progress=progress,
         window_interval=window_interval, window_counters=window_counters,
-        warmup=warmup, fast=fast)
+        warmup=warmup)
     return result
 
 
@@ -519,8 +510,7 @@ def run(trace_or_spec: TraceLike,
         corunners: int = 0,
         warmup: int = 0,
         trace_to=None,
-        ledger: Optional[bool] = None,
-        fast: Optional[bool] = None):
+        ledger: Optional[bool] = None):
     """Simulate one trace on one generation — the one-stop entry point.
 
     ``trace_or_spec`` may be a materialized :class:`~repro.traces.types
@@ -548,42 +538,30 @@ def run(trace_or_spec: TraceLike,
     zero-overhead path.  With ``warmup``, the warmup prefix runs
     untraced — the captured stream covers the measure phase only.
 
-    ``fast`` selects the compiled-trace fast path (``None`` defers to
-    ``REPRO_FAST``; bit-identical results either way — see
-    ``repro.fastpath``).
+    A spec's compiled trace is reused via the in-process memo and the
+    on-disk store; a materialized ``Trace`` is compiled on entry.
     """
     from ..core import GenerationSimulator
 
     t0 = time.perf_counter()
-    eff_fast = fast_enabled(fast)
     config = (generation if isinstance(generation, GenerationConfig)
               else get_generation(generation))
     if isinstance(trace_or_spec, Trace):
         trace, spec = trace_or_spec, None
     else:
         spec = coerce_spec(trace_or_spec)
-        if eff_fast and trace_to is None:
-            # Fast path: decode once, reuse via the in-process memo and
-            # (when enabled) the on-disk compiled-trace store.  Event
-            # tracing wants record objects, so it keeps the plain build.
-            from .tasks import _build_compiled
-
-            trace = _build_compiled(spec.to_dict())
-        else:
-            trace = spec.build()
+        trace = _build_compiled(spec.to_dict())
 
     warm_state = None
     if warmup and spec is not None:
-        from .tasks import warmup_checkpoint, warmup_task
-
         warm_state = warmup_checkpoint(
             warmup_task(config, spec, corunners=corunners,
-                        warmup=int(warmup), fast=fast))
+                        warmup=int(warmup)))
         trace = trace.slice(int(warmup))
 
     def build_and_run(sink=None):
         sim = GenerationSimulator(config, corunners=corunners,
-                                  trace_sink=sink, fast=eff_fast)
+                                  trace_sink=sink)
         if warm_state is not None:
             sim.restore(warm_state)
         return sim.run(trace)

@@ -39,7 +39,6 @@ from typing import Any, Dict, Optional, Sequence, Tuple
 
 from .. import __version__
 from ..config import GenerationConfig
-from ..fastpath import fast_enabled
 from ..metrics.windows import DEFAULT_WINDOW_INSTRUCTIONS
 from ..serialization import config_from_dict, config_to_dict
 from ..traces.compiled import (CompiledTrace, compile_trace,
@@ -65,23 +64,17 @@ def population_task(config: GenerationConfig, spec: TraceSpec,
                     window_interval: int = DEFAULT_WINDOW_INSTRUCTIONS,
                     window_counters: Optional[Sequence[str]] = None,
                     warmup: int = 0,
-                    fast: Optional[bool] = None,
                     ) -> Dict[str, Any]:
     """One full-simulator run; ``warmup`` > 0 splits it into a cached
     warmup-prefix checkpoint (see :func:`warmup_task`) plus a measure
     phase resumed from that snapshot.  Results are bit-identical either
     way — warmup only changes how the work is scheduled and cached.
-
-    ``fast`` overrides the worker's ``REPRO_FAST`` environment for this
-    task.  It travels as the transport-only ``_fast`` key — excluded
-    from the fingerprint, because the fast and reference paths produce
-    bit-identical results (see :mod:`repro.fastpath`).
     """
     if not 0 <= warmup < spec.n_instructions:
         raise ValueError(
             f"warmup must be in [0, {spec.n_instructions}) for this "
             f"trace, got {warmup}")
-    payload = {
+    return {
         "kind": "population",
         "config": config_to_dict(config),
         "trace": spec.to_dict(),
@@ -91,9 +84,6 @@ def population_task(config: GenerationConfig, spec: TraceSpec,
                             if window_counters is not None else None),
         "warmup": warmup,
     }
-    if fast is not None:
-        payload["_fast"] = bool(fast)
-    return payload
 
 
 def warmup_task(config: GenerationConfig, spec: TraceSpec,
@@ -101,30 +91,17 @@ def warmup_task(config: GenerationConfig, spec: TraceSpec,
                 window_interval: int = DEFAULT_WINDOW_INSTRUCTIONS,
                 window_counters: Optional[Sequence[str]] = None,
                 warmup: int = 0,
-                fast: Optional[bool] = None,
                 ) -> Dict[str, Any]:
     """Simulate the first ``warmup`` instructions and return the
     simulator checkpoint document — the snapshot measure phases resume
     from.  The window configuration rides along because the checkpoint
-    carries the (partially filled) window recorder.  ``fast`` as in
-    :func:`population_task` (transport-only, fingerprint-invariant)."""
+    carries the (partially filled) window recorder."""
     if not 0 < warmup < spec.n_instructions:
         raise ValueError(
             f"warmup must be in (0, {spec.n_instructions}) for this "
             f"trace, got {warmup}")
-    payload = {
-        "kind": "warmup",
-        "config": config_to_dict(config),
-        "trace": spec.to_dict(),
-        "corunners": corunners,
-        "window_interval": window_interval,
-        "window_counters": (list(window_counters)
-                            if window_counters is not None else None),
-        "warmup": warmup,
-    }
-    if fast is not None:
-        payload["_fast"] = bool(fast)
-    return payload
+    return {**population_task(config, spec, corunners, window_interval,
+                              window_counters, warmup), "kind": "warmup"}
 
 
 def pipetrace_task(config: GenerationConfig, spec: TraceSpec,
@@ -278,14 +255,6 @@ def _build_compiled(spec_dict: Dict[str, Any]) -> CompiledTrace:
     return compiled
 
 
-def _payload_fast(payload: Dict[str, Any]) -> bool:
-    """Effective fast-path state for one payload: the transport-only
-    ``_fast`` override when present, else the worker's ``REPRO_FAST``
-    environment.  Never part of the fingerprint — both paths produce
-    bit-identical results."""
-    return fast_enabled(payload.get("_fast"))
-
-
 #: Per-process memo of warmup checkpoints, keyed by warmup-task
 #: fingerprint.  Serial runs and chunk-mates on one worker reuse the
 #: snapshot without re-simulating (or re-reading the result cache).
@@ -311,11 +280,8 @@ def _run_warmup_task(payload: Dict[str, Any]) -> Dict[str, Any]:
     from ..core import GenerationSimulator
 
     config = config_from_dict(payload["config"])
-    fast = _payload_fast(payload)
-    trace = (_build_compiled(payload["trace"]) if fast
-             else _build_trace(payload["trace"]))
-    sim = GenerationSimulator(config, corunners=payload.get("corunners", 0),
-                              fast=fast)
+    trace = _build_compiled(payload["trace"])
+    sim = GenerationSimulator(config, corunners=payload.get("corunners", 0))
     sim.run(trace.slice(0, int(payload["warmup"])),
             window_interval=payload.get(
                 "window_interval", DEFAULT_WINDOW_INSTRUCTIONS),
@@ -330,11 +296,8 @@ def _run_population_task(payload: Dict[str, Any]) -> Dict[str, Any]:
     from .results import SliceMetrics
 
     config = config_from_dict(payload["config"])
-    fast = _payload_fast(payload)
-    trace = (_build_compiled(payload["trace"]) if fast
-             else _build_trace(payload["trace"]))
-    sim = GenerationSimulator(config, corunners=payload.get("corunners", 0),
-                              fast=fast)
+    trace = _build_compiled(payload["trace"])
+    sim = GenerationSimulator(config, corunners=payload.get("corunners", 0))
     counters = payload.get("window_counters")
     warmup = int(payload.get("warmup", 0) or 0)
     if warmup > 0:
@@ -345,8 +308,6 @@ def _run_population_task(payload: Dict[str, Any]) -> Dict[str, Any]:
         if state is None:
             inner = {**{k: v for k, v in payload.items()
                         if not k.startswith("_")}, "kind": "warmup"}
-            if "_fast" in payload:  # transport-only; keep paths aligned
-                inner["_fast"] = payload["_fast"]
             state = warmup_checkpoint(inner)
         sim.restore(state)
         trace = trace.slice(warmup)
@@ -390,13 +351,10 @@ def _run_pipetrace_task(payload: Dict[str, Any]) -> Dict[str, Any]:
     from ..observe.sink import TraceSink
 
     config = config_from_dict(payload["config"])
-    trace = _build_trace(payload["trace"])
+    trace = _build_compiled(payload["trace"])
     sink = TraceSink(capacity=payload.get("capacity", 65536))
-    # Sink attached -> the scoreboard uses its reference loop (events
-    # need per-record context); the predictor hash memos still apply and
-    # are bit-identical, so fast on/off never changes the event stream.
     sim = GenerationSimulator(config, corunners=payload.get("corunners", 0),
-                              trace_sink=sink, fast=_payload_fast(payload))
+                              trace_sink=sink)
     r = sim.run(trace, window_interval=0)
     return {
         "generation": config.name,

@@ -17,8 +17,8 @@ from .history import fold_bits, geometric_intervals, pc_hash
 _WEIGHT_MAX = 31
 _WEIGHT_MIN = -31
 
-#: Fast-path hash memo size bound; hitting it clears the memo (the
-#: memos are pure caches, so clearing is always safe).
+#: Hash memo size bound; hitting it clears the memo (the memos are
+#: pure caches, so clearing is always safe).
 _MEMO_CAP = 1 << 16
 
 
@@ -26,8 +26,7 @@ class LocalHashedPerceptron:
     """Small hashed perceptron over per-branch local history."""
 
     def __init__(self, n_tables: int = 3, rows: int = 128,
-                 local_bits: int = 16, history_entries: int = 64,
-                 fast: bool = False) -> None:
+                 local_bits: int = 16, history_entries: int = 64) -> None:
         if rows & (rows - 1):
             raise ValueError("rows must be a power of two")
         self.n_tables = n_tables
@@ -40,42 +39,28 @@ class LocalHashedPerceptron:
         # Per-branch local history, hash-indexed with bounded capacity.
         self._local: Dict[int, int] = {}
         self.theta = int(1.93 * n_tables + 4)
-        #: Fast-path memo layer over the pure hashes (see
-        #: ``repro.fastpath``): ``_history_slot`` and ``_indices`` are
-        #: pure functions of their keys, and the predict/update flow
-        #: recomputes the same ``(pc, lhist)`` pair two to three times
-        #: per branch.  Derivable caches — excluded from ``state_dict``.
-        self.fast = bool(fast)
+        #: Memos over the pure hashes: ``_history_slot`` and
+        #: ``_indices`` are pure functions of their keys, and the
+        #: predict/update flow recomputes the same ``(pc, lhist)`` pair
+        #: two to three times per branch.  Derivable caches — excluded
+        #: from ``state_dict``.
         self._slot_memo: Dict[int, int] = {}
         self._pc_memo: Dict[int, Tuple[int, ...]] = {}
         self._index_memo: Dict[Tuple[int, int], Tuple[int, ...]] = {}
 
     def _history_slot(self, pc: int) -> int:
-        if self.fast:
-            slot = self._slot_memo.get(pc)
-            if slot is None:
-                if len(self._slot_memo) > _MEMO_CAP:
-                    self._slot_memo.clear()
-                slot = self._slot_memo[pc] = pc_hash(
-                    pc, self.history_entries.bit_length() - 1, salt=0x77)
-            return slot
-        return pc_hash(pc, self.history_entries.bit_length() - 1, salt=0x77)
+        slot = self._slot_memo.get(pc)
+        if slot is None:
+            if len(self._slot_memo) > _MEMO_CAP:
+                self._slot_memo.clear()
+            slot = self._slot_memo[pc] = pc_hash(
+                pc, self.history_entries.bit_length() - 1, salt=0x77)
+        return slot
 
     def _indices(self, pc: int, lhist: int) -> Tuple[int, ...]:
-        if self.fast:
-            return self._indices_fast(pc, lhist)
-        idx = []
-        for t in range(self.n_tables):
-            lo, hi = self.intervals[t]
-            seg = (lhist >> lo) & ((1 << (hi - lo)) - 1)
-            h = fold_bits(seg, hi - lo, self.index_bits)
-            p = pc_hash(pc, self.index_bits, salt=(t + 3) * 0x2B)
-            idx.append((h ^ p) & (self.rows - 1))
-        return tuple(idx)
-
-    def _indices_fast(self, pc: int, lhist: int) -> Tuple[int, ...]:
-        """Memoized twin of the loop above (same folds, same XOR, same
-        masking, computed once per distinct ``(pc, lhist)``)."""
+        """Per-table row: ``fold_bits`` of the table's local-history
+        segment XOR ``pc_hash`` of the PC, masked to the rows; computed
+        once per distinct ``(pc, lhist)``."""
         key = (pc, lhist)
         idx = self._index_memo.get(key)
         if idx is not None:

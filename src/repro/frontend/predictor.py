@@ -108,16 +108,12 @@ class BranchUnit:
                  encrypt: Optional[Callable[[int], int]] = None,
                  decrypt: Optional[Callable[[int], int]] = None,
                  registry: Optional[MetricRegistry] = None,
-                 sink: Optional[TraceSink] = None,
-                 fast: bool = False) -> None:
+                 sink: Optional[TraceSink] = None) -> None:
         self.config = config
         bp = config.branch
         self.stats = BranchStats(registry)
         #: Optional flight recorder for branch-resolution events.
         self.sink = sink
-        #: Fast-path state (see ``repro.fastpath``): enables the SHP/LHP
-        #: pure-hash memo layers.  Identical predictions either way.
-        self.fast = bool(fast)
         #: (predicted_taken, predicted_target) of the branch in flight,
         #: captured by the predict paths only while tracing.
         self._pred_snapshot: "tuple[Optional[bool], Optional[int]]" = \
@@ -129,7 +125,6 @@ class BranchUnit:
             rows=bp.shp_rows,
             ghist_bits=bp.ghist_bits,
             phist_bits=bp.phist_bits,
-            fast=self.fast,
         )
         self.btb = BTBHierarchy(
             mbtb_entries=bp.mbtb_entries,
@@ -142,7 +137,6 @@ class BranchUnit:
         self.ubtb = MicroBTB(
             entries=bp.ubtb_entries,
             uncond_only_entries=bp.ubtb_uncond_only_entries,
-            fast=self.fast,
         )
         self.ras = ReturnAddressStack(bp.ras_entries, encrypt=encrypt,
                                       decrypt=decrypt)
@@ -248,7 +242,6 @@ class BranchUnit:
         self.shp = ScaledHashedPerceptron(
             n_tables=bp.shp_tables, rows=bp.shp_rows,
             ghist_bits=bp.ghist_bits, phist_bits=bp.phist_bits,
-            fast=self.fast,
         )
         self.btb = BTBHierarchy(
             mbtb_entries=bp.mbtb_entries, vbtb_entries=bp.vbtb_entries,
@@ -258,8 +251,7 @@ class BranchUnit:
             has_empty_line_opt=bp.has_empty_line_opt,
         )
         self.ubtb = MicroBTB(entries=bp.ubtb_entries,
-                             uncond_only_entries=bp.ubtb_uncond_only_entries,
-                             fast=self.fast)
+                             uncond_only_entries=bp.ubtb_uncond_only_entries)
         self.ras = ReturnAddressStack(bp.ras_entries)
         self.vpc = VPCPredictor(
             self.shp, max_targets=bp.vpc_max_targets,

@@ -37,8 +37,8 @@ WEIGHT_MIN = -127
 BIAS_MAX = 31
 BIAS_MIN = -31
 
-#: Fast-path hash memo size bound; hitting it clears the memo (the
-#: memos are pure caches, so clearing is always safe).
+#: Hash memo size bound; hitting it clears the memo (the memos are
+#: pure caches, so clearing is always safe).
 _MEMO_CAP = 1 << 16
 
 
@@ -76,7 +76,6 @@ class ScaledHashedPerceptron:
         phist_bits: int = 80,
         theta_init: Optional[int] = None,
         seed_salt: int = 0,
-        fast: bool = False,
     ) -> None:
         if n_tables < 1 or rows < 2:
             raise ValueError("SHP needs >=1 table and >=2 rows")
@@ -91,12 +90,11 @@ class ScaledHashedPerceptron:
         self.phist_intervals = geometric_intervals(n_tables, phist_bits)
         self.tables: List[List[int]] = [[0] * rows for _ in range(n_tables)]
         self.seed_salt = seed_salt
-        #: Fast-path memo layer over the pure hash functions (see
-        #: ``repro.fastpath``): ``pc_hash``/``mix_segment`` depend only
-        #: on their arguments, so caching them changes how often they
-        #: are evaluated, never any value.  The memos are deliberately
-        #: not part of ``state_dict`` — they are derivable caches.
-        self.fast = bool(fast)
+        #: Memos over the pure hash functions: ``pc_hash``/``mix_segment``
+        #: depend only on their arguments, so caching them changes how
+        #: often they are evaluated, never any value.  The memos are
+        #: deliberately not part of ``state_dict`` — they are derivable
+        #: caches.
         self._pc_memo: Dict[int, Tuple[int, ...]] = {}
         self._g_memo: List[Dict[int, int]] = [{} for _ in range(n_tables)]
         self._p_memo: List[Dict[int, int]] = [{} for _ in range(n_tables)]
@@ -120,25 +118,11 @@ class ScaledHashedPerceptron:
     # -- indexing -----------------------------------------------------------
 
     def _indices(self, pc: int) -> Tuple[int, ...]:
-        if self.fast:
-            return self._indices_fast(pc)
-        idx = []
-        for t in range(self.n_tables):
-            glo, ghi = self.ghist_intervals[t]
-            plo, phi = self.phist_intervals[t]
-            g = mix_segment(self.ghist.segment(glo, ghi), ghi - glo,
-                            self.index_bits, salt=t + 1)
-            p = mix_segment(self.phist.segment(plo, phi), phi - plo,
-                            self.index_bits, salt=0x40 + t)
-            h = pc_hash(pc, self.index_bits, salt=(t + 1) * 0x51 + self.seed_salt)
-            idx.append((g ^ p ^ h) & (self.rows - 1))
-        return tuple(idx)
-
-    def _indices_fast(self, pc: int) -> Tuple[int, ...]:
-        """Memoized twin of the loop above — same hashes, same XOR, same
-        masking; each pure hash is just computed once per distinct input
-        (per-PC ``pc_hash`` vectors, per-(table, raw segment)
-        ``mix_segment`` values)."""
+        """Per-table row: ``mix_segment`` of the table's GHIST and PHIST
+        intervals XOR ``pc_hash`` of the PC, masked to the rows.  Each
+        pure hash is computed once per distinct input (per-PC
+        ``pc_hash`` vectors, per-(table, raw segment) ``mix_segment``
+        values)."""
         bits = self.index_bits
         hs = self._pc_memo.get(pc)
         if hs is None:

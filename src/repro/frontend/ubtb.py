@@ -67,14 +67,12 @@ class MicroBTB:
     STARTUP_BUBBLES = 2
 
     def __init__(self, entries: int, uncond_only_entries: int = 0,
-                 lhp: Optional[LocalHashedPerceptron] = None,
-                 fast: bool = False) -> None:
+                 lhp: Optional[LocalHashedPerceptron] = None) -> None:
         self.capacity = entries
         self.uncond_capacity = uncond_only_entries
         self.nodes: "OrderedDict[int, UBTBNode]" = OrderedDict()
         self.uncond_nodes: "OrderedDict[int, UBTBNode]" = OrderedDict()
-        self.lhp = lhp if lhp is not None else LocalHashedPerceptron(
-            fast=fast)
+        self.lhp = lhp if lhp is not None else LocalHashedPerceptron()
         self.locked = False
         self._streak = 0
         self._prev: Optional[Tuple[int, bool]] = None  # (pc, taken)

@@ -1,18 +1,19 @@
-"""Decode-once compiled traces: flat parallel arrays for the fast path.
+"""Decode-once compiled traces: the flat parallel arrays the scoreboard
+iterates.
 
 A :class:`~repro.traces.types.Trace` is a list of ``TraceRecord``
-objects — ideal for the reference scoreboard loop, but every pass over
-it pays per-record attribute loads, ``Kind`` enum comparisons and
-repeated ``pc & ~63`` line math.  :func:`compile_trace` performs that
-decode exactly once, producing a :class:`CompiledTrace` of flat
-parallel columns (plain Python ``int`` lists, serialized as
-``array('q')``/``array('b')``/``array('i')`` on disk):
+objects — readable, but every pass over it pays per-record attribute
+loads, ``Kind`` enum comparisons and repeated ``pc & ~63`` line math.
+:func:`compile_trace` performs that decode exactly once, producing a
+:class:`CompiledTrace` of flat parallel columns (plain Python ``int``
+lists, serialized as ``array('q')``/``array('b')``/``array('i')`` on
+disk):
 
 - serialized columns: ``pc``, ``kind``, ``taken``, ``target``,
   ``addr``, ``size``, ``src1``, ``src2``;
 - derived columns, recomputed on load so each derivation lives in one
-  place: ``line`` (= ``pc & ~63``, the icache fetch line), ``is_branch``
-  and ``is_mem`` class bits.
+  place: ``line`` (= ``pc & ~63``, the icache fetch line) and the
+  ``is_branch`` class bit.
 
 The ``kind`` column doubles as the per-record latency-class index: the
 scoreboard builds 16-entry per-kind latency and port dispatch tables
@@ -45,7 +46,7 @@ import sys
 from array import array
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
-from .types import BRANCH_KINDS, MEMORY_KINDS, Kind, Trace, TraceRecord
+from .types import BRANCH_KINDS, Kind, Trace, TraceRecord
 
 #: Bump when the serialized column set or header layout changes; part of
 #: the store fingerprint, so old entries simply stop being read.
@@ -70,7 +71,6 @@ COLUMNS: Tuple[Tuple[str, str], ...] = (
 _N_KINDS = 16
 _IS_BRANCH = tuple(1 if Kind(k) in BRANCH_KINDS else 0
                    for k in range(_N_KINDS))
-_IS_MEM = tuple(1 if Kind(k) in MEMORY_KINDS else 0 for k in range(_N_KINDS))
 _KIND_OBJS = tuple(Kind(k) for k in range(_N_KINDS))
 
 
@@ -90,7 +90,7 @@ class CompiledTrace:
 
     __slots__ = ("name", "family", "seed", "pc", "kind", "taken", "target",
                  "addr", "size", "src1", "src2", "line", "is_branch",
-                 "is_mem", "n_branches", "_branch_records")
+                 "n_branches", "_branch_records")
 
     def __init__(self, name: str, family: str, seed: Optional[int],
                  columns: Dict[str, List[int]],
@@ -117,7 +117,6 @@ class CompiledTrace:
         # Derived columns (never serialized).
         self.line = [p & ~63 for p in self.pc]
         self.is_branch = [_IS_BRANCH[k] for k in self.kind]
-        self.is_mem = [_IS_MEM[k] for k in self.kind]
         self.n_branches = self.is_branch.count(1)
         self._branch_records = branch_records
 
@@ -130,9 +129,9 @@ class CompiledTrace:
         return self.record(idx)
 
     def __iter__(self) -> Iterator[TraceRecord]:
-        # Record-at-a-time view; the fast loop reads the columns directly
-        # and never pays this, but the reference loop (and any generic
-        # Trace consumer) works unchanged.
+        # Record-at-a-time view; the scoreboard reads the columns
+        # directly and never pays this, but any generic Trace consumer
+        # works unchanged.
         for i in range(len(self.pc)):
             yield self.record(i)
 
@@ -183,8 +182,8 @@ class CompiledTrace:
 
 def compile_trace(trace: Trace) -> CompiledTrace:
     """One decode pass: records -> flat columns (+ the branch sparse
-    list referencing the original records, so in-process fast runs feed
-    the branch unit the exact objects the reference path would)."""
+    list referencing the original records, so an in-process run feeds
+    the branch unit the trace's own record objects)."""
     records = trace.records if isinstance(trace, Trace) else list(trace)
     columns: Dict[str, List[int]] = {
         "pc": [r.pc for r in records],

@@ -4,8 +4,9 @@ the whole-generation simulator."""
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro
 from repro.config import get_generation
-from repro.core import GenerationSimulator, Scoreboard, simulate
+from repro.core import GenerationSimulator, Scoreboard
 from repro.frontend import BranchUnit
 from repro.memory import MemoryHierarchy
 from repro.traces import Kind, Trace, TraceRecord, make_trace
@@ -229,8 +230,8 @@ def test_branch_unit_never_crashes_on_any_family_slice(seed):
 # ---------------------------------------------------------------------------
 
 def test_simulate_end_to_end():
-    r = simulate("M5", make_trace("specint_like", seed=1,
-                                  n_instructions=8000))
+    r = repro.run(make_trace("specint_like", seed=1, n_instructions=8000),
+                  "M5")
     assert r.generation == "M5"
     assert 0 < r.ipc <= 6.0
     assert r.mpki >= 0

@@ -1,8 +1,6 @@
 """The execution engine: determinism, caching tiers, fingerprints, and
 the unified ``repro.run`` / ``repro.run_population`` API surface."""
 
-import warnings
-
 import pytest
 
 import repro
@@ -260,15 +258,6 @@ def test_run_population_reexported_everywhere():
     assert repro.run_population is engine.run_population
     assert harness_rp is engine.run_population
     assert pop_rp is engine.run_population
-
-
-def test_simulate_emits_deprecation_warning():
-    t = make_trace("loop_kernel", seed=1, n_instructions=1000)
-    with pytest.warns(DeprecationWarning, match="repro.run"):
-        r = repro.simulate("M1", t)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        assert r.ipc == repro.run(t, "M1").ipc
 
 
 # ---------------------------------------------------------------------------

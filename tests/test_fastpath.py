@@ -1,43 +1,29 @@
-"""Tests for the compiled-trace fast path (docs/performance.md).
+"""Tests for compiled traces and throughput plumbing
+(docs/performance.md).
 
-The contract under test: ``REPRO_FAST`` (and the ``fast=`` knob) only
-changes *how fast* results are produced, never *what* is produced —
-metrics snapshots, population archives, window series, event streams
-and checkpoints are byte-identical between the flat-array fast loop
-and the record-object reference loop, serial or sharded, warm or cold.
-Alongside that: the compiled-trace binary format round-trips and fails
-closed (corrupt store entries regenerate), the ``_fast`` knob is
-transport-only (fingerprints never move), and the two-slot port tracker
-issues bit-identically to the old O(ports) scan.
+The compiled-trace binary format round-trips and fails closed (corrupt
+store entries regenerate), the two-slot port tracker issues
+bit-identically to the O(ports) scan, and run throughput reaches
+engine stats, the ledger and the CLI.  The simulated results themselves
+are pinned by ``tests/test_golden.py``.
 """
 
 from __future__ import annotations
 
-import json
 import random
 
 import pytest
 
 import repro
-from repro.core import GenerationSimulator
 from repro.core.scoreboard import _PortGroup
-from repro.engine import execute_population, run_population
+from repro.engine import execute_population
 from repro.engine.cache import CTRACE_DIRNAME, CompiledTraceStore
 from repro.engine.runner import clear_caches
-from repro.engine.tasks import (_CTRACE_MEMO, _build_compiled,
-                                population_task, task_fingerprint)
-from repro.fastpath import FAST_ENV, fast_enabled
-from repro.observe.events import events_to_jsonl
-from repro.serialization import population_to_json
+from repro.engine.tasks import _CTRACE_MEMO, _build_compiled
 from repro.traces import TraceSpec, make_trace
 from repro.traces.compiled import (CompiledTraceError, compile_trace,
                                    compiled_fingerprint, dump_bytes,
                                    load_bytes)
-
-
-def _snap(result):
-    """Canonical text of one SimulationResult's metric snapshot."""
-    return json.dumps(result.metrics.snapshot().values, sort_keys=True)
 
 
 def _fields(rec):
@@ -74,13 +60,13 @@ class _NaivePortGroup:
 @pytest.mark.parametrize("ports", [1, 2, 3, 4])
 def test_port_group_matches_reference_scan(ports):
     rng = random.Random(1234 + ports)
-    fast, ref = _PortGroup(ports), _NaivePortGroup(ports)
+    tracked, ref = _PortGroup(ports), _NaivePortGroup(ports)
     ready = 0.0
     for _ in range(3000):
         ready = max(0.0, ready + rng.uniform(-0.5, 1.5))
         occupancy = rng.choice([1.0, 1.0, 2.0, 12.0])
-        assert fast.issue(ready, occupancy) == ref.issue(ready, occupancy)
-        assert fast.free == ref.free
+        assert tracked.issue(ready, occupancy) == ref.issue(ready, occupancy)
+        assert tracked.free == ref.free
 
 
 def test_port_group_rescan_after_bulk_edit():
@@ -121,7 +107,7 @@ def test_dump_load_roundtrip():
     assert loaded.family == compiled.family
     assert loaded.seed == compiled.seed
     for col in ("pc", "kind", "taken", "target", "addr", "size",
-                "src1", "src2", "line", "is_branch", "is_mem"):
+                "src1", "src2", "line", "is_branch"):
         assert list(getattr(loaded, col)) == list(getattr(compiled, col))
     assert _all_fields(loaded.to_trace().records) == \
         _all_fields(trace.records)
@@ -197,101 +183,13 @@ def test_store_disk_hit_skips_regeneration(monkeypatch, tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# The fast knob: env resolution and fingerprint transparency
-# ---------------------------------------------------------------------------
-
-def test_fast_enabled_env_and_override(monkeypatch):
-    monkeypatch.delenv(FAST_ENV, raising=False)
-    assert fast_enabled() is True  # default on
-    monkeypatch.setenv(FAST_ENV, "off")
-    assert fast_enabled() is False
-    assert fast_enabled(True) is True    # explicit knob beats env
-    monkeypatch.setenv(FAST_ENV, "1")
-    assert fast_enabled() is True
-    assert fast_enabled(False) is False
-
-
-def test_fast_knob_never_moves_fingerprints():
-    config = repro.get_generation("M3")
-    spec = TraceSpec(family="specint_like", seed=4, n_instructions=2000)
-    plain = population_task(config, spec)
-    for knob in (True, False):
-        flagged = population_task(config, spec, fast=knob)
-        assert flagged["_fast"] is knob
-        assert task_fingerprint(flagged) == task_fingerprint(plain)
-
-
-# ---------------------------------------------------------------------------
-# Bit-identity: fast vs reference, every execution mode
-# ---------------------------------------------------------------------------
-
-_GENS = ("M1", "M6")
-
-
-@pytest.mark.parametrize("gen", _GENS)
-def test_single_run_identical(gen):
-    spec = ("specint_like", 11, 5000)
-    ref = repro.run(spec, gen, fast=False)
-    fast = repro.run(spec, gen, fast=True)
-    assert _snap(fast) == _snap(ref)
-    assert fast.windows == ref.windows
-
-
-def test_single_run_warmup_identical():
-    spec = ("mobile_like", 6, 4000)
-    ref = repro.run(spec, "M5", fast=False)
-    fast = repro.run(spec, "M5", warmup=1500, fast=True)
-    assert _snap(fast) == _snap(ref)
-
-
-def test_event_stream_identical():
-    spec = ("specint_like", 2, 1500)
-    ref = repro.run(spec, "M4", trace_to=True, fast=False)
-    fast = repro.run(spec, "M4", trace_to=True, fast=True)
-    assert events_to_jsonl(fast.events) == events_to_jsonl(ref.events)
-    assert _snap(fast) == _snap(ref)
-
-
-def test_checkpoint_resume_identical_on_compiled_trace():
-    spec = TraceSpec(family="stream_like", seed=13, n_instructions=4000)
-    compiled = _build_compiled(spec.to_dict())
-
-    whole = GenerationSimulator("M6", fast=True)
-    result = whole.run(compiled)
-
-    first = GenerationSimulator("M6", fast=True)
-    first.run(compiled.slice(0, 1700), finalize=False)
-    doc = json.loads(json.dumps(first.save_state()))
-    resumed = GenerationSimulator("M6", fast=True)
-    resumed.restore(doc)
-    res2 = resumed.run(compiled.slice(1700))
-    assert _snap(res2) == _snap(result)
-
-
-def _population(workers, fast, warmup=0):
-    clear_caches()
-    return run_population(n_slices=2, slice_length=3000, seed=2020,
-                          generations=("M2", "M6"), workers=workers,
-                          cache="off", warmup=warmup, fast=fast)
-
-
-def test_population_archives_identical_serial_and_sharded():
-    ref = population_to_json(_population(workers=1, fast=False))
-    assert population_to_json(_population(workers=1, fast=True)) == ref
-    assert population_to_json(_population(workers=2, fast=True)) == ref
-    assert population_to_json(
-        _population(workers=1, fast=True, warmup=1000)) == ref
-
-
-# ---------------------------------------------------------------------------
 # Observability: throughput lands in stats, ledger, profile, CLI
 # ---------------------------------------------------------------------------
 
 def test_engine_stats_track_instructions_and_kips():
     clear_caches()
     _, stats = execute_population(n_slices=1, slice_length=2000,
-                                  generations=("M1",), cache="off",
-                                  fast=True)
+                                  generations=("M1",), cache="off")
     assert stats.instructions_total == 2000
     assert stats.instructions_executed == 2000
     assert stats.kips > 0.0
@@ -308,7 +206,7 @@ def test_ledger_records_and_cli_show_kips(tmp_path, capsys, monkeypatch):
     from repro.observe.ledger import read_ledger
 
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-    repro.run(("specint_like", 17, 2000), "M3", ledger=True, fast=True)
+    repro.run(("specint_like", 17, 2000), "M3", ledger=True)
     records = read_ledger(tmp_path)
     assert len(records) == 1
     engine = records[0]["engine"]

@@ -306,8 +306,8 @@ def test_kind_hit_rates_split_warmup_from_measure():
     assert cold.kind_stats["population"] == {"hits": 0, "executed": 2}
     assert cold.kind_stats["warmup"] == {"hits": 0, "executed": 2}
 
-    # population + warmup, plus the trace_compile pseudo-kind when the
-    # fast path prepared compiled traces during this run.
+    # population + warmup, plus the trace_compile pseudo-kind when
+    # compiled traces were prepared during this run.
     lines = kind_hit_rates(cold.kind_stats)
     assert 2 <= len(lines) <= 3
     assert any("population" in line for line in lines)

@@ -1,7 +1,13 @@
 """Scaled Hashed Perceptron behaviour (Section IV-A)."""
 
-import pytest
+from unittest import mock
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.frontend import lhp as lhp_mod, shp as shp_mod
+from repro.frontend.history import fold_bits, mix_segment, pc_hash
+from repro.frontend.lhp import LocalHashedPerceptron
 from repro.frontend.shp import (
     BIAS_MAX,
     ScaledHashedPerceptron,
@@ -139,3 +145,62 @@ def test_snapshot_restore_roundtrip():
     shp.push_history(0x14, True, False)
     shp.restore(snap)
     assert shp.snapshot() == snap
+
+
+# ---------------------------------------------------------------------------
+# The memoized table indices equal the hash formula
+# ---------------------------------------------------------------------------
+
+def _shp_indices(shp, pc):
+    """Per table: mixed GHIST and PHIST segments XOR the PC hash."""
+    rows = []
+    for t in range(shp.n_tables):
+        glo, ghi = shp.ghist_intervals[t]
+        plo, phi = shp.phist_intervals[t]
+        g = mix_segment(shp.ghist.segment(glo, ghi), ghi - glo,
+                        shp.index_bits, salt=t + 1)
+        p = mix_segment(shp.phist.segment(plo, phi), phi - plo,
+                        shp.index_bits, salt=0x40 + t)
+        h = pc_hash(pc, shp.index_bits, salt=(t + 1) * 0x51 + shp.seed_salt)
+        rows.append((g ^ p ^ h) & (shp.rows - 1))
+    return tuple(rows)
+
+
+def _lhp_indices(lhp, pc, lhist):
+    """Per table: the folded local-history segment XOR the PC hash."""
+    rows = []
+    for t, (lo, hi) in enumerate(lhp.intervals):
+        seg = (lhist >> lo) & ((1 << (hi - lo)) - 1)
+        h = fold_bits(seg, hi - lo, lhp.index_bits)
+        p = pc_hash(pc, lhp.index_bits, salt=(t + 3) * 0x2B)
+        rows.append((h ^ p) & (lhp.rows - 1))
+    return tuple(rows)
+
+
+_PCS = st.integers(min_value=0, max_value=(1 << 20) - 1).map(
+    lambda x: 0x400000 + 4 * x)
+
+
+@pytest.mark.parametrize("memo_cap", [shp_mod._MEMO_CAP, 4],
+                         ids=["default_cap", "cap4"])
+@settings(max_examples=30, deadline=None)
+@given(pcs=st.lists(_PCS, min_size=8, max_size=16, unique=True),
+       outcomes=st.lists(st.booleans(), min_size=16, max_size=64))
+def test_memoized_indices_match_the_hash_formula(memo_cap, pcs, outcomes):
+    # A cap of 4 is below the 8+ distinct PCs, so every memo overflows
+    # and clears mid-run; the indices must not change.
+    with mock.patch.object(shp_mod, "_MEMO_CAP", memo_cap), \
+            mock.patch.object(lhp_mod, "_MEMO_CAP", memo_cap):
+        shp = ScaledHashedPerceptron(seed_salt=3)
+        lhp = LocalHashedPerceptron()
+        for step, taken in enumerate(outcomes):
+            pc = pcs[step % len(pcs)]
+            assert shp._indices(pc) == _shp_indices(shp, pc)
+            slot = lhp._history_slot(pc)
+            assert slot == pc_hash(
+                pc, lhp.history_entries.bit_length() - 1, salt=0x77)
+            lhist = lhp._local.get(slot, 0)
+            assert lhp._indices(pc, lhist) == _lhp_indices(lhp, pc, lhist)
+            shp.update(pc, taken, shp.predict(pc))
+            shp.push_history(pc, step % 3 != 0, taken)
+            lhp.update(pc, taken)
