@@ -13,50 +13,40 @@ SIM001  unseeded-random              process-global RNG state in results
 SIM002  wall-clock                   timestamps outside engine stats
 SIM003  builtin-hash                 PYTHONHASHSEED-salted hash() values
 SIM004  set-order                    hash-order iteration / accumulation
-SIM005  mutable-default              state shared across calls
 SIM006  cache-key-completeness       config fields missing from cache keys
-SIM007  broad-except                 swallowed errors cached as results
 SIM008  unsafe-serialization         pickle/eval outside serialization.py
-SIM009  bare-container-annotation    untyped list/dict/set annotations
 SIM010  float-sum                    order-dependent float accumulation
 SIM011  iteration-order              implicit first/last-element reads
 SIM012  worker-purity                module globals mutated in worker code
 ======  ===========================  =======================================
 
-SIM001-SIM005 and SIM007-SIM011 are per-file AST rules.  SIM006 and
-SIM012 are *project* rules: SIM006 perturbs the live config dataclasses
-against the engine cache fingerprint, and SIM012 builds a project-wide
-call graph (:mod:`repro.analysis.graph`) to find every function
-reachable from the ``ProcessPoolExecutor`` worker entry point and flag
-mutations of module-global mutable state there.
+SIM001-SIM004, SIM008, SIM010 and SIM011 are per-file AST rules.  SIM006
+and SIM012 are *project* rules: SIM006 perturbs the live config
+dataclasses against the engine cache fingerprint, and SIM012 builds a
+project-wide call graph (:mod:`repro.analysis.graph`) to find every
+function reachable from the ``ProcessPoolExecutor`` worker entry point
+and flag mutations of module-global mutable state there.
 
-Four rules are *autofixable* (:mod:`repro.analysis.fixes`): ``python -m
-repro lint --fix`` rewrites SIM005/SIM009/SIM010/SIM011 findings in
-place with span-precise, idempotent edits; ``--fix --diff`` previews;
-``--fix --check`` is the CI guard.
+The verdict is binary: any finding not silenced by an inline
+``# simlint: disable=`` comment fails the run.  The settings are the
+:class:`LintConfig` constants in :mod:`repro.analysis.config`.
 
 Entry points: ``python -m repro lint`` (CLI), :func:`run_lint`
 (programmatic), :func:`lint_source` (one snippet, for tests and editor
-hooks), :func:`run_fix` (programmatic autofix).  Configuration lives in
-``[tool.simlint]`` in ``pyproject.toml``; see ``docs/analysis.md`` for
-the rule catalog and workflows.
+hooks).  See ``docs/analysis.md`` for the rule catalog.
 """
 
-from .config import LintConfig, load_config
+from .config import LintConfig
 from .core import (ASTRule, FileContext, Finding, LintResult, ProjectRule,
                    Rule, lint_source, run_lint)
-from .fixes import FIXABLE_RULES, Fix, FixResult, TextEdit, run_fix
 from .graph import ModuleInfo, MutableGlobal, ProjectGraph, build_graph
 from .registry import all_rules, get_rule
-from .reporters import render_human, render_json
+from .reporters import render_human
 
 __all__ = [
     "ASTRule",
-    "FIXABLE_RULES",
     "FileContext",
     "Finding",
-    "Fix",
-    "FixResult",
     "LintConfig",
     "LintResult",
     "ModuleInfo",
@@ -64,14 +54,10 @@ __all__ = [
     "ProjectGraph",
     "ProjectRule",
     "Rule",
-    "TextEdit",
     "all_rules",
     "build_graph",
     "get_rule",
     "lint_source",
-    "load_config",
     "render_human",
-    "render_json",
-    "run_fix",
     "run_lint",
 ]

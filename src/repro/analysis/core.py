@@ -14,23 +14,22 @@ enforce.  simlint enforces them mechanically:
   whole file set (SIM006 introspects the live config dataclasses against
   the engine fingerprint);
 * inline ``# simlint: disable=SIM0xx`` comments suppress findings on
-  their line; ``# simlint: disable-file=SIM0xx`` suppresses for a file;
-* a committed baseline (:mod:`repro.analysis.baseline`) grandfathers
-  known findings so the tool can gate CI on *new* violations only.
+  their line; ``# simlint: disable-file=SIM0xx`` suppresses for a file.
+  They are the one escape hatch: every other finding fails the run.
 
 :func:`run_lint` is the programmatic entry point; ``python -m repro
-lint`` is the CLI face (:mod:`repro.analysis.cli`).
+lint`` is the CLI face (:mod:`repro.cli.lint`).
 """
 
 from __future__ import annotations
 
 import ast
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
-from .config import LintConfig, load_config
+from .config import LintConfig, find_project_root
 
 SEVERITIES = ("warning", "error")
 
@@ -56,11 +55,6 @@ class Finding:
     col: int
     message: str
     snippet: str = ""
-    #: Stable identity for baseline matching (content-based, line-shift
-    #: tolerant); filled in by the runner.
-    key: str = ""
-    #: True when the committed baseline grandfathers this finding.
-    baselined: bool = False
 
     def location(self) -> str:
         return f"{self.path}:{self.line}:{self.col}"
@@ -214,20 +208,10 @@ class LintResult:
     suppressed: int = 0
     files_scanned: int = 0
     parse_errors: List[str] = field(default_factory=list)
-    rules_run: Tuple[str, ...] = ()
-    baseline_path: Optional[str] = None
-
-    @property
-    def new_findings(self) -> List[Finding]:
-        return [f for f in self.findings if not f.baselined]
-
-    @property
-    def baselined_count(self) -> int:
-        return len(self.findings) - len(self.new_findings)
 
     @property
     def ok(self) -> bool:
-        return not self.new_findings and not self.parse_errors
+        return not self.findings and not self.parse_errors
 
 
 def iter_python_files(paths: Sequence[Path],
@@ -256,57 +240,40 @@ def _relpath(path: Path, root: Optional[Path]) -> str:
     return resolved.as_posix()
 
 
-def _select_rules(rules: Sequence[Rule], config: LintConfig,
+def _select_rules(rules: Sequence[Rule],
                   select: Optional[Sequence[str]],
                   ignore: Optional[Sequence[str]]) -> List[Rule]:
     chosen = list(rules)
     if select:
         wanted = {r.upper() for r in select}
         chosen = [r for r in chosen if r.id in wanted]
-    disabled = {r.upper() for r in config.disable}
     if ignore:
-        disabled |= {r.upper() for r in ignore}
-    return [r for r in chosen if r.id not in disabled]
-
-
-def _assign_keys(findings: List[Finding]) -> List[Finding]:
-    """Give each finding its baseline key (content-based, shift-tolerant)."""
-    from .baseline import finding_key
-
-    seen: Dict[Tuple[str, str, str], int] = {}
-    keyed: List[Finding] = []
-    for f in sorted(findings, key=Finding.sort_key):
-        ident = (f.rule, f.path, f.snippet)
-        occurrence = seen.get(ident, 0)
-        seen[ident] = occurrence + 1
-        keyed.append(replace(f, key=finding_key(f, occurrence)))
-    return keyed
+        skipped = {r.upper() for r in ignore}
+        chosen = [r for r in chosen if r.id not in skipped]
+    return chosen
 
 
 def run_lint(paths: Sequence, *,
              config: Optional[LintConfig] = None,
              rules: Optional[Sequence[Rule]] = None,
              select: Optional[Sequence[str]] = None,
-             ignore: Optional[Sequence[str]] = None,
-             baseline_path: Optional[Path] = None,
-             use_baseline: bool = True) -> LintResult:
+             ignore: Optional[Sequence[str]] = None) -> LintResult:
     """Lint ``paths`` (files or directories) and return a result.
 
-    ``config`` defaults to the nearest ``pyproject.toml``'s
-    ``[tool.simlint]`` section (see :func:`repro.analysis.config
-    .load_config`); ``rules`` defaults to the full registry.
+    ``config`` defaults to the :class:`LintConfig` constants anchored at
+    the nearest ``pyproject.toml`` above the first path; ``rules``
+    defaults to the full registry.
     """
-    from .baseline import load_baseline
     from .registry import all_rules
 
     paths = [Path(p) for p in paths]
     if config is None:
         start = paths[0] if paths else Path.cwd()
-        config = load_config(start)
+        config = LintConfig(project_root=find_project_root(start))
     active = _select_rules(list(rules) if rules is not None else all_rules(),
-                           config, select, ignore)
+                           select, ignore)
 
-    result = LintResult(rules_run=tuple(r.id for r in active))
+    result = LintResult()
     ast_rules = [r for r in active if isinstance(r, ASTRule)]
     project_rules = [r for r in active if isinstance(r, ProjectRule)]
 
@@ -338,19 +305,7 @@ def run_lint(paths: Sequence, *,
             else:
                 raw.append(f)
 
-    findings = _assign_keys(raw)
-
-    if use_baseline:
-        if baseline_path is None and config.baseline:
-            root = config.project_root or Path.cwd()
-            baseline_path = root / config.baseline
-        if baseline_path is not None:
-            entries = load_baseline(baseline_path)
-            result.baseline_path = str(baseline_path)
-            findings = [replace(f, baselined=f.key in entries)
-                        for f in findings]
-
-    result.findings = findings
+    result.findings = sorted(raw, key=Finding.sort_key)
     return result
 
 
@@ -360,13 +315,13 @@ def lint_source(source: str, *, path: str = "<snippet>.py",
                 select: Optional[Sequence[str]] = None) -> List[Finding]:
     """Lint one in-memory source string with the AST rules (test helper
     and editor-integration hook).  Suppression comments are honoured;
-    project rules and the baseline do not apply."""
+    project rules do not apply."""
     from .registry import all_rules
 
     if config is None:
         config = LintConfig()
     active = _select_rules(list(rules) if rules is not None else all_rules(),
-                           config, select, None)
+                           select, None)
     ctx = FileContext(Path(path), path, source)
     out: List[Finding] = []
     for rule in active:

@@ -1,6 +1,6 @@
 """Project-wide symbol resolution, call graph, and worker reachability.
 
-The SIM001-SIM011 rules see one file at a time.  The hazard they cannot
+The per-file rules see one file at a time.  The hazard they cannot
 see is *cross-module*: a helper three imports away from
 :func:`repro.engine.tasks.execute_task` mutating a module-level dict
 means every ``ProcessPoolExecutor`` worker forks (then silently
@@ -47,7 +47,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from .config import LintConfig
+from .config import LintConfig, find_project_root
 from .core import FileContext
 
 #: Calls whose result is a fresh mutable container (module-level
@@ -143,7 +143,6 @@ class ModuleInfo:
         self.functions: Dict[str, FunctionInfo] = {}
         self.classes: Dict[str, ClassInfo] = {}
         self.mutable_globals: Dict[str, MutableGlobal] = {}
-        self.global_names: Set[str] = set()
         #: Module-level dispatch tables: ``NAME = {"k": func, ...}`` (or
         #: a list/tuple of functions).  Subscripting one and calling the
         #: result is the registry idiom (``_EXECUTORS[kind](payload)``);
@@ -200,17 +199,6 @@ class ModuleInfo:
                 self._collect_class(node)
             elif isinstance(node, (ast.Assign, ast.AnnAssign)):
                 self._collect_global(node)
-        # Every module-level binding (mutable or not) — the SIM012
-        # ``global NAME`` check needs the full set.
-        for node in tree.body:
-            targets: List[ast.expr] = []
-            if isinstance(node, ast.Assign):
-                targets = list(node.targets)
-            elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
-                targets = [node.target]
-            for t in targets:
-                if isinstance(t, ast.Name):
-                    self.global_names.add(t.id)
 
     def _collect_class(self, node: ast.ClassDef) -> None:
         info = ClassInfo(qualname=f"{self.name}.{node.name}",
@@ -350,12 +338,12 @@ class ProjectGraph:
         (``__pycache__`` above all) are skipped, unparsable files are
         dropped silently.
         """
-        from .config import load_config
         from .core import _relpath, iter_python_files
 
         paths = [Path(p) for p in paths]
         if config is None:
-            config = load_config(paths[0] if paths else Path.cwd())
+            start = paths[0] if paths else Path.cwd()
+            config = LintConfig(project_root=find_project_root(start))
         ctxs: List[FileContext] = []
         for path in iter_python_files(paths, config.exclude):
             rel = _relpath(path, config.project_root)

@@ -8,7 +8,7 @@ diverges from its siblings and from the serial run — defeating the
 engine's bit-identical guarantee in the one place per-file rules cannot
 see.  It is powered by the project-wide call graph in
 :mod:`repro.analysis.graph` and the ``worker_entry`` /
-``worker_state_allow`` settings in ``[tool.simlint]``.
+``worker_state_allow`` constants in :mod:`repro.analysis.config`.
 
 SIM006: cache-key completeness for the engine's result cache.
 
@@ -146,9 +146,9 @@ class CacheKeyCompletenessRule(ProjectRule):
         try:
             return list(self._check(ctxs))
         except Exception as exc:
-            # Deliberately broad (legal outside strict_except_paths):
-            # surface harness breakage as a finding rather than crashing
-            # the whole lint run — the lint must stay usable mid-refactor.
+            # Deliberately broad: surface harness breakage as a finding
+            # rather than crashing the whole lint run — the lint must
+            # stay usable mid-refactor.
             path, line = self._anchor(ctxs, "repro/engine/tasks.py",
                                       "def task_fingerprint")
             return [self._finding_at(
@@ -235,9 +235,9 @@ class WorkerPurityRule(ProjectRule):
 
     Sanctioned per-process state — deliberately fork-local memos whose
     contents never leak into results, like the engine's trace memo — is
-    allowlisted by fully-qualified name via ``worker_state_allow`` in
-    ``[tool.simlint]``.  Every finding carries the shortest call chain
-    from the entry point as its witness.
+    allowlisted by fully-qualified name in
+    ``LintConfig.worker_state_allow``.  Every finding carries the
+    shortest call chain from the entry point as its witness.
     """
 
     id = "SIM012"

@@ -3,8 +3,9 @@
 AST rules (one file at a time) come from :mod:`repro.analysis.rules`;
 project rules (whole-run semantic checks) from
 :mod:`repro.analysis.project`.  Rules are keyed by stable ``SIM0xx``
-ids — the currency of suppressions, baselines, config ``disable`` lists
-and ``--select``/``--ignore`` flags.
+ids — the currency of suppressions and ``--select``/``--ignore`` flags.
+An id is never reused, so the sequence has gaps where rules were
+removed.
 """
 
 from __future__ import annotations

@@ -1,81 +1,24 @@
-"""Human and JSON renderings of a :class:`~repro.analysis.core.LintResult`.
-
-The JSON document is a stable machine interface (schema version 1) for
-CI annotation tooling; the human reporter is what ``python -m repro
-lint`` prints by default.
-"""
+"""The terminal rendering of a :class:`~repro.analysis.core.LintResult`."""
 
 from __future__ import annotations
 
-from typing import Any, Dict, List
+from typing import List
 
 from .core import Finding, LintResult
-from .fixes import FIXABLE_RULES
-
-#: v1: the original document; v2: findings carry ``fixable`` (the rule
-#: has an autofix — run ``--fix``) and the summary counts them.
-JSON_SCHEMA_VERSION = 2
-
-
-def finding_to_dict(finding: Finding) -> Dict[str, Any]:
-    return {
-        "rule": finding.rule,
-        "severity": finding.severity,
-        "path": finding.path,
-        "line": finding.line,
-        "col": finding.col,
-        "message": finding.message,
-        "snippet": finding.snippet,
-        "key": finding.key,
-        "baselined": finding.baselined,
-        "fixable": finding.rule in FIXABLE_RULES,
-    }
-
-
-def render_json(result: LintResult) -> Dict[str, Any]:
-    """The schema-versioned JSON document for ``--json`` output."""
-    return {
-        "version": JSON_SCHEMA_VERSION,
-        "tool": "simlint",
-        "summary": {
-            "files_scanned": result.files_scanned,
-            "total": len(result.findings),
-            "new": len(result.new_findings),
-            "baselined": result.baselined_count,
-            "suppressed": result.suppressed,
-            "fixable": sum(1 for f in result.new_findings
-                           if f.rule in FIXABLE_RULES),
-            "parse_errors": len(result.parse_errors),
-            "rules_run": list(result.rules_run),
-            "ok": result.ok,
-        },
-        "findings": [finding_to_dict(f)
-                     for f in sorted(result.findings,
-                                     key=Finding.sort_key)],
-        "parse_errors": list(result.parse_errors),
-    }
 
 
 def render_human(result: LintResult) -> str:
     """The terminal report: one line per finding plus a summary."""
     lines: List[str] = []
     for f in sorted(result.findings, key=Finding.sort_key):
-        tag = " [baselined]" if f.baselined else ""
-        lines.append(f"{f.location()}: {f.rule} [{f.severity}]{tag} "
-                     f"{f.message}")
+        lines.append(f"{f.location()}: {f.rule} [{f.severity}] {f.message}")
         if f.snippet:
             lines.append(f"    {f.snippet}")
     for err in result.parse_errors:
         lines.append(f"parse error: {err}")
-    new = len(result.new_findings)
-    fixable = sum(1 for f in result.new_findings
-                  if f.rule in FIXABLE_RULES)
     summary = (f"simlint: {result.files_scanned} files, "
                f"{len(result.findings)} findings "
-               f"({new} new, {result.baselined_count} baselined, "
-               f"{result.suppressed} suppressed)")
-    if fixable:
-        summary += f"; {fixable} fixable with --fix"
+               f"({result.suppressed} suppressed)")
     if result.ok:
         summary += " — ok"
     lines.append(summary)

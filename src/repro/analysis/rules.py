@@ -1,17 +1,17 @@
-"""The per-file AST rules (SIM001-SIM005, SIM007-SIM010).
+"""The per-file AST rules (SIM001-SIM004, SIM008, SIM010, SIM011).
 
 Each rule targets a hazard this codebase actually depends on avoiding:
 the engine's bit-identical parallel-vs-serial guarantee and its
 content-addressed disk cache (see :mod:`repro.engine`) survive only if
 simulation code is a pure function of explicit seeds and configs.
-SIM006, the cache-key completeness check, is a whole-project rule and
-lives in :mod:`repro.analysis.project`.
+SIM006 (cache-key completeness) and SIM012 (worker purity) are
+whole-project rules and live in :mod:`repro.analysis.project`.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Iterable, List, Optional, Set
+from typing import Iterable
 
 from .config import LintConfig, path_matches
 from .core import ASTRule, FileContext, Finding
@@ -38,18 +38,6 @@ _WALLCLOCK_CALLS = frozenset({
 #: Modules whose import signals unsafe/implicit serialization.
 _UNSAFE_SERIALIZATION_MODULES = frozenset({
     "pickle", "cPickle", "_pickle", "dill", "shelve", "marshal",
-})
-
-#: Bare-container annotation targets: builtins and their typing aliases.
-_BARE_BUILTIN_CONTAINERS = frozenset({
-    "list", "dict", "set", "tuple", "frozenset",
-})
-_BARE_TYPING_CONTAINERS = frozenset({
-    "typing.List", "typing.Dict", "typing.Set", "typing.Tuple",
-    "typing.FrozenSet", "typing.DefaultDict", "typing.OrderedDict",
-    "typing.Deque", "typing.Counter",
-    "collections.OrderedDict", "collections.defaultdict",
-    "collections.deque", "collections.Counter",
 })
 
 #: Order-sensitive consumers of an iterable (``sorted``/``min``/``max``/
@@ -120,9 +108,9 @@ class WallClockRule(ASTRule):
     """SIM002: no wall-clock reads outside the engine-stats allowlist.
 
     A timestamp that leaks into a result, a cache payload, or a control
-    decision makes two identical runs differ.  Throughput accounting in
-    ``engine/runner.py`` is the only sanctioned consumer (configured via
-    ``wallclock_allow`` in ``[tool.simlint]``).
+    decision makes two identical runs differ.  The engine's throughput
+    accounting and the host-side observability layer are the only
+    sanctioned consumers (``LintConfig.wallclock_allow``).
     """
 
     id = "SIM002"
@@ -144,7 +132,7 @@ class WallClockRule(ASTRule):
                     ctx, node,
                     f"{qn}() reads the wall clock; simulation results must "
                     "be pure functions of seeds and configs (allowlist: "
-                    "wallclock_allow in [tool.simlint])")
+                    "LintConfig.wallclock_allow)")
 
 
 class BuiltinHashRule(ASTRule):
@@ -240,96 +228,6 @@ class SetOrderRule(ASTRule):
                 "sorted(...) instead")
 
 
-class MutableDefaultRule(ASTRule):
-    """SIM005: mutable default arguments.
-
-    A mutable default is shared across every call of the function — in a
-    simulator that means state leaking between supposedly independent
-    runs, the exact aliasing the engine's task isolation exists to
-    prevent.
-    """
-
-    id = "SIM005"
-    name = "mutable-default"
-    severity = "error"
-    description = "mutable default argument; default to None and allocate "\
-                  "inside the function"
-
-    _MUTABLE_CALLS = frozenset({
-        "list", "dict", "set", "bytearray",
-        "collections.defaultdict", "collections.OrderedDict",
-        "collections.deque", "collections.Counter",
-    })
-
-    def _is_mutable(self, node: ast.AST, ctx: FileContext) -> bool:
-        if isinstance(node, (ast.List, ast.Dict, ast.Set, ast.ListComp,
-                             ast.SetComp, ast.DictComp)):
-            return True
-        if isinstance(node, ast.Call):
-            return ctx.qualname(node.func) in self._MUTABLE_CALLS
-        return False
-
-    def check(self, ctx: FileContext,
-              config: LintConfig) -> Iterable[Finding]:
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                     ast.Lambda)):
-                continue
-            defaults = list(node.args.defaults)
-            defaults += [d for d in node.args.kw_defaults if d is not None]
-            for default in defaults:
-                if self._is_mutable(default, ctx):
-                    yield self.finding(
-                        ctx, default,
-                        "mutable default argument is shared across calls; "
-                        "default to None and allocate per call")
-
-
-class BroadExceptRule(ASTRule):
-    """SIM007: bare/broad exception handlers in correctness-critical code.
-
-    A swallowed exception in the engine or the serialization layer turns
-    a task failure into a silently wrong (and then *cached*) result.
-    Bare ``except:`` is illegal everywhere; ``except Exception`` /
-    ``except BaseException`` are additionally illegal under the
-    ``strict_except_paths`` from ``[tool.simlint]``.
-    """
-
-    id = "SIM007"
-    name = "broad-except"
-    severity = "error"
-    description = "bare/broad except; catch the specific exceptions the "\
-                  "operation can raise"
-
-    def _broad_names(self, handler_type: Optional[ast.AST],
-                     ctx: FileContext) -> List[str]:
-        if handler_type is None:
-            return []
-        nodes = (handler_type.elts if isinstance(handler_type, ast.Tuple)
-                 else [handler_type])
-        return [qn for qn in (ctx.qualname(n) for n in nodes)
-                if qn in ("Exception", "BaseException")]
-
-    def check(self, ctx: FileContext,
-              config: LintConfig) -> Iterable[Finding]:
-        strict = path_matches(ctx.relpath, config.strict_except_paths)
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.ExceptHandler):
-                continue
-            if node.type is None:
-                yield self.finding(
-                    ctx, node,
-                    "bare except: swallows every error including "
-                    "KeyboardInterrupt; name the exceptions")
-            elif strict:
-                for qn in self._broad_names(node.type, ctx):
-                    yield self.finding(
-                        ctx, node,
-                        f"except {qn} in an engine/serialization module "
-                        "can cache a wrong result as a right one; catch "
-                        "specific exceptions")
-
-
 class UnsafeSerializationRule(ASTRule):
     """SIM008: pickle/eval-class constructs outside the serialization module.
 
@@ -377,75 +275,6 @@ class UnsafeSerializationRule(ASTRule):
                         "or an explicit parser")
 
 
-class BareContainerAnnotationRule(ASTRule):
-    """SIM009: container annotations must state their element types.
-
-    ``episode_lengths: list = []`` documents nothing and hides exactly
-    the aliasing/ordering mistakes SIM004/SIM005 exist to catch; spell
-    it ``list[int]``.  The rule checks variable annotations, function
-    parameters and return types, including containers nested inside an
-    un-subscripted position (``Dict[tuple, X]``) and quoted annotations.
-    """
-
-    id = "SIM009"
-    name = "bare-container-annotation"
-    severity = "warning"
-    description = "bare list/dict/set/tuple annotation; add element types"
-
-    def _bare_containers(self, annotation: ast.AST,
-                         ctx: FileContext) -> List[ast.AST]:
-        # A quoted annotation ("OrderedDict[tuple, Trace]") arrives as a
-        # string constant: parse it so the same check applies.
-        if isinstance(annotation, ast.Constant) and \
-                isinstance(annotation.value, str):
-            try:
-                parsed = ast.parse(annotation.value, mode="eval").body
-            except SyntaxError:
-                return []
-            found = self._bare_containers(parsed, ctx)
-            # Report at the location of the quoted annotation itself.
-            return [annotation] if found else []
-        subscripted = set()
-        for node in ast.walk(annotation):
-            if isinstance(node, ast.Subscript):
-                subscripted.add(id(node.value))
-        bare: List[ast.AST] = []
-        for node in ast.walk(annotation):
-            if not isinstance(node, (ast.Name, ast.Attribute)):
-                continue
-            if id(node) in subscripted:
-                continue
-            qn = ctx.qualname(node)
-            if qn in _BARE_BUILTIN_CONTAINERS or \
-                    qn in _BARE_TYPING_CONTAINERS:
-                bare.append(node)
-        return bare
-
-    def _iter_annotations(self, tree: ast.Module):
-        for node in ast.walk(tree):
-            if isinstance(node, ast.AnnAssign):
-                yield node.annotation
-            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                args = node.args
-                for arg in (*args.posonlyargs, *args.args, *args.kwonlyargs,
-                            args.vararg, args.kwarg):
-                    if arg is not None and arg.annotation is not None:
-                        yield arg.annotation
-                if node.returns is not None:
-                    yield node.returns
-
-    def check(self, ctx: FileContext,
-              config: LintConfig) -> Iterable[Finding]:
-        for annotation in self._iter_annotations(ctx.tree):
-            for node in self._bare_containers(annotation, ctx):
-                label = ast.dump(node) if not hasattr(ast, "unparse") \
-                    else ast.unparse(node)
-                yield self.finding(
-                    ctx, node if hasattr(node, "lineno") else annotation,
-                    f"bare container annotation `{label}`; state the "
-                    "element types (e.g. list[int], Dict[str, float])")
-
-
 class FloatSumRule(ASTRule):
     """SIM010: plain ``sum()`` over a float series in aggregation code.
 
@@ -455,7 +284,7 @@ class FloatSumRule(ASTRule):
     is exactly the kind of drift that makes figure means and cache
     payloads irreproducible.  ``math.fsum`` tracks partial sums exactly
     and is order-independent, so it is the sanctioned aggregator in the
-    layers that average metrics (``fsum_paths`` in ``[tool.simlint]``).
+    layers that average metrics (``LintConfig.fsum_paths``).
     Sums the rule can prove integral (counts, ``len()`` totals) stay
     legal: integer addition is exact in any order.
     """
@@ -591,10 +420,7 @@ AST_RULES = (
     WallClockRule(),
     BuiltinHashRule(),
     SetOrderRule(),
-    MutableDefaultRule(),
-    BroadExceptRule(),
     UnsafeSerializationRule(),
-    BareContainerAnnotationRule(),
     FloatSumRule(),
     IterationOrderRule(),
 )

@@ -18,9 +18,9 @@ import argparse
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
-from . import (checkpoint, completion, families, fig1, lint, metrics,
-               pipeview, population, regress, report, runs, simulate,
-               tables, tracediff)
+from . import (checkpoint, families, fig1, lint, metrics, pipeview,
+               population, regress, report, runs, simulate, tables,
+               tracediff)
 
 
 @dataclass(frozen=True)
@@ -55,7 +55,6 @@ COMMANDS: Tuple[Command, ...] = tuple(_command(m) for m in (
     runs,
     regress,
     lint,
-    completion,
 ))
 
 

@@ -14,7 +14,7 @@ from repro.cli import COMMANDS, Command, build_parser, command_table, main
 
 EXPECTED_COMMANDS = ("simulate", "tables", "population", "fig1", "report",
                      "families", "metrics", "pipeview", "tracediff",
-                     "checkpoint", "runs", "regress", "lint", "completion")
+                     "checkpoint", "runs", "regress", "lint")
 
 
 def test_registry_lists_every_command_in_order():
@@ -107,31 +107,6 @@ def test_pipeview_stream_flag_persists_chunks(tmp_path, capsys):
     manifest = read_manifest(d)
     assert manifest["events"] > 0
     assert manifest["meta"]["generation"] == "M6"
-
-
-def test_completion_bash_covers_every_command(capsys):
-    assert main(["completion", "bash"]) == 0
-    script = capsys.readouterr().out
-    assert "complete -F _repro_completion repro" in script
-    for cmd in COMMANDS:
-        assert cmd.name in script
-    # Every lint flag the registry knows about is completable.
-    assert "--fix" in script and "--write-baseline" in script
-
-
-def test_completion_zsh_has_compdef_header(capsys):
-    assert main(["completion", "zsh"]) == 0
-    script = capsys.readouterr().out
-    assert script.startswith("#compdef repro\n")
-    assert "compdef _repro repro" in script
-    for cmd in COMMANDS:
-        assert f"{cmd.name}:" in script
-
-
-def test_completion_respects_prog_override(capsys):
-    assert main(["completion", "bash", "--prog", "my-repro"]) == 0
-    script = capsys.readouterr().out
-    assert "complete -F _my_repro_completion my-repro" in script
 
 
 def test_command_table_is_markdown_from_registry():

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis.config import load_config
+from repro.analysis.config import LintConfig
 from repro.analysis.core import run_lint
 from repro.analysis.graph import ProjectGraph, module_name
 
@@ -45,10 +45,9 @@ LEAKY_STATS = (
 )
 
 
-def make_project(tmp_path, files, simlint_toml=""):
+def make_project(tmp_path, files):
     """A throwaway project: pyproject + src/ tree from a dict."""
-    (tmp_path / "pyproject.toml").write_text(
-        "[tool.simlint]\n" + simlint_toml)
+    (tmp_path / "pyproject.toml").touch()  # marks the project root
     for rel, text in files.items():
         p = tmp_path / "src" / rel
         p.parent.mkdir(parents=True, exist_ok=True)
@@ -56,11 +55,13 @@ def make_project(tmp_path, files, simlint_toml=""):
     return tmp_path / "src"
 
 
-def sim012(src, **kwargs):
-    result = run_lint([src], config=load_config(src),
-                      select=["SIM012"], **kwargs)
+def sim012(src, worker_state_allow=()):
+    config = LintConfig(worker_entry="app.tasks.execute_task",
+                        worker_state_allow=worker_state_allow,
+                        project_root=src.parent)
+    result = run_lint([src], config=config, select=["SIM012"])
     assert result.parse_errors == []
-    return result.new_findings
+    return result.findings
 
 
 # ---------------------------------------------------------------------------
@@ -180,15 +181,13 @@ def test_graph_skips_pycache_trees(tmp_path):
 # SIM012 fixtures
 # ---------------------------------------------------------------------------
 
-SIM012_TOML = 'worker_entry = "app.tasks.execute_task"\n'
-
 
 def test_sim012_fires_on_leaky_counter_two_hops_out(tmp_path):
     src = make_project(tmp_path, {
         "app/__init__.py": "",
         "app/tasks.py": LEAKY_TASKS,
         "app/stats.py": LEAKY_STATS,
-    }, SIM012_TOML)
+    })
     findings = sim012(src)
     assert len(findings) == 1
     (f,) = findings
@@ -203,8 +202,8 @@ def test_sim012_allowlist_silences_sanctioned_memo(tmp_path):
         "app/__init__.py": "",
         "app/tasks.py": LEAKY_TASKS,
         "app/stats.py": LEAKY_STATS,
-    }, SIM012_TOML + 'worker_state_allow = ["app.stats._COUNTS"]\n')
-    assert sim012(src) == []
+    })
+    assert sim012(src, worker_state_allow=("app.stats._COUNTS",)) == []
 
 
 def test_sim012_flags_global_statement(tmp_path):
@@ -219,7 +218,7 @@ def test_sim012_flags_global_statement(tmp_path):
             "    _CALLS += 1\n"
             "    return _CALLS\n"
         ),
-    }, SIM012_TOML)
+    })
     findings = sim012(src)
     assert any("`global _CALLS`" in f.message for f in findings)
 
@@ -238,7 +237,7 @@ def test_sim012_flags_mutator_methods_and_module_attrs(tmp_path):
             "    state.LIMIT = 8\n"
             "    return len(SEEN)\n"
         ),
-    }, SIM012_TOML)
+    })
     messages = [f.message for f in sim012(src)]
     assert any(".append() mutates `app.state.SEEN`" in m for m in messages)
     assert any("assigns attribute `app.state.LIMIT`" in m for m in messages)
@@ -257,7 +256,7 @@ def test_sim012_ignores_locals_shadowing_globals(tmp_path):
             "    scratch.update(payload)\n"
             "    return scratch\n"
         ),
-    }, SIM012_TOML)
+    })
     assert sim012(src) == []
 
 
@@ -265,7 +264,7 @@ def test_sim012_silent_when_entry_point_absent(tmp_path):
     src = make_project(tmp_path, {
         "app/__init__.py": "",
         "app/other.py": "_STATE = {}\n\n\ndef f():\n    _STATE['k'] = 1\n",
-    }, SIM012_TOML)
+    })
     assert sim012(src) == []
 
 
@@ -285,12 +284,9 @@ def test_real_tree_reaches_workers_through_executors_table():
 
 @pytest.mark.skipif(not SRC_ROOT.is_dir(), reason="source tree not present")
 def test_real_tree_sim012_fires_without_the_shipped_allowlist():
-    import dataclasses
-    config = dataclasses.replace(load_config(SRC_ROOT),
-                                 worker_state_allow=())
-    result = run_lint([SRC_ROOT], config=config, select=["SIM012"],
-                      use_baseline=False)
-    memo_hits = [f for f in result.new_findings
+    config = LintConfig(worker_state_allow=(), project_root=SRC_ROOT.parent)
+    result = run_lint([SRC_ROOT], config=config, select=["SIM012"])
+    memo_hits = [f for f in result.findings
                  if "repro.engine.tasks._TRACE_MEMO" in f.message]
     assert memo_hits, "the trace memo must be caught once un-allowlisted"
     for f in memo_hits:
