@@ -20,7 +20,7 @@ import time
 
 import pytest
 
-from repro.harness import run_population
+from repro.engine import run_population
 
 BENCH_SLICES = int(os.environ.get("REPRO_BENCH_SLICES", "24"))
 BENCH_SLICE_LEN = int(os.environ.get("REPRO_BENCH_SLICE_LEN", "12000"))

@@ -16,13 +16,13 @@ Run:  python examples/generation_sweep.py          (~1 minute cold)
 
 import os
 
+from repro import run_population
 from repro.harness import (
     figure9_mpki,
     figure16_load_latency,
     figure17_ipc,
     overall_summary,
     render_curves,
-    run_population,
 )
 
 

@@ -28,9 +28,9 @@ def configure_parser(parser: argparse.ArgumentParser) -> None:
                              "eight incl. stall buckets)")
     parser.add_argument("--diff", nargs=2, metavar=("A.json", "B.json"),
                         default=None,
-                        help="diff two saved --json documents (or two "
-                             "population archives from `population "
-                             "--save`) instead of running a simulation")
+                        help="diff two saved --json documents instead of "
+                             "running a simulation (population archives: "
+                             "`repro regress`)")
     parser.add_argument("--top", type=int, default=0,
                         help="with --diff: keep only the N largest relative "
                              "movers (0 = all, lexicographic)")
@@ -50,26 +50,12 @@ def run(args: argparse.Namespace) -> int:
             doc_a = json.load(f)
         with open(path_b) as f:
             doc_b = json.load(f)
-        pop_a = isinstance(doc_a.get("metrics"), list)
-        pop_b = isinstance(doc_b.get("metrics"), list)
-        if pop_a != pop_b:
-            print("error: cannot diff a population archive against a "
-                  "single-run metrics dump")
+        if any(isinstance(doc.get("metrics"), list)
+               for doc in (doc_a, doc_b)):
+            print("error: population archives are compared by "
+                  f"`repro regress {path_a} {path_b}`; metrics --diff "
+                  "takes two single-run --json documents")
             return 2
-        if pop_a:
-            # Population archives (`population --save`): the per-slice
-            # delta matrix, with the regression sentinel's windowed
-            # significance filter marking which moves are real.
-            from ..metrics import (compare_populations, population_rows,
-                                   render_population_diff)
-            report = compare_populations(population_rows(doc_a),
-                                         population_rows(doc_b))
-            if args.json:
-                print(json.dumps(report, indent=2, sort_keys=True))
-            else:
-                print(f"A: {path_a}\nB: {path_b}")
-                print(render_population_diff(report, top=args.top))
-            return 0
         from ..metrics import diff_metric_documents, render_metric_diff
         diff = diff_metric_documents(doc_a, doc_b)
         if args.json:

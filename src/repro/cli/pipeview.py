@@ -6,8 +6,8 @@ import argparse
 import sys
 
 NAME = "pipeview"
-HELP = ("flight-recorded pipeline timeline (gem5-"
-        "o3-pipeview-style) + Chrome/Perfetto export")
+HELP = ("traced pipeline timeline (gem5-o3-pipeview-style) + "
+        "Chrome/Perfetto export")
 
 
 def configure_parser(parser: argparse.ArgumentParser) -> None:
@@ -21,9 +21,6 @@ def configure_parser(parser: argparse.ArgumentParser) -> None:
                              "render")
     parser.add_argument("--width", type=int, default=48,
                         help="timeline band width in columns")
-    parser.add_argument("--capacity", type=int, default=262_144,
-                        help="flight-recorder ring capacity (oldest events "
-                             "drop beyond it)")
     parser.add_argument("--events", action="store_true",
                         help="flat event log instead of the stage timeline")
     parser.add_argument("--chrome", default=None, metavar="OUT.json",
@@ -32,17 +29,15 @@ def configure_parser(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--save", default=None, metavar="OUT.jsonl",
                         help="also dump the raw event stream as JSONL")
     parser.add_argument("--stream", default=None, metavar="DIR",
-                        help="persist the complete stream as chunked "
-                             "JSONL + manifest under DIR (no ring bound; "
-                             "read back with repro.observe.load_events)")
+                        help="persist the stream as chunked JSONL + "
+                             "manifest under DIR (read back with "
+                             "repro.observe.load_events)")
 
 
 def run(args: argparse.Namespace) -> int:
-    from ..config import get_generation
-    from ..core import GenerationSimulator
-    from ..observe import (StreamingTraceSink, TraceSink, chrome_trace_json,
-                           events_to_jsonl, read_stream_events,
-                           render_event_log, render_pipeview)
+    from ..engine import run as run_one
+    from ..observe import (chrome_trace_json, events_to_jsonl, load_events,
+                           read_manifest, render_event_log, render_pipeview)
     from .common import parse_trace_spec
 
     try:
@@ -51,27 +46,13 @@ def run(args: argparse.Namespace) -> int:
         print(f"bad trace spec {args.spec!r}; expected family:seed:length "
               f"(e.g. specint_like:1:8000)", file=sys.stderr)
         return 2
-    trace = spec.build()
     gen = args.gen.upper()
-    if args.stream:
-        sink = StreamingTraceSink(
-            args.stream,
-            meta={"generation": gen, "trace": spec.to_dict()})
-    else:
-        sink = TraceSink(capacity=args.capacity)
-    sim = GenerationSimulator(get_generation(gen), trace_sink=sink)
-    # Windows feed the Chrome counter tracks; stdout doesn't show them.
-    r = sim.run(trace, window_interval=2000 if args.chrome else 0)
-    if args.stream:
-        sink.close()
-        events = read_stream_events(args.stream)
-    else:
-        events = r.events
+    # The run's default windows feed the Chrome counter tracks.
+    r = run_one(spec, gen, trace_to=args.stream or True)
+    events = load_events(args.stream) if args.stream else r.events
 
-    print(f"{gen} on {trace.name}: {len(trace)} uops, ipc {r.ipc:.3f}; "
-          f"{sink.emitted} events recorded"
-          + (f" ({sink.dropped} dropped, oldest first)" if sink.dropped
-             else ""))
+    print(f"{gen} on {r.trace_name}: {spec.n_instructions} uops, "
+          f"ipc {r.ipc:.3f}; {len(events)} events recorded")
     if args.events:
         print(render_event_log(events, limit=args.count))
     else:
@@ -88,7 +69,7 @@ def run(args: argparse.Namespace) -> int:
             f.write(events_to_jsonl(events) + "\n")
         print(f"events written to {args.save}", file=sys.stderr)
     if args.stream:
+        chunks = len(read_manifest(args.stream)["chunks"])
         print(f"chunked stream written to {args.stream} "
-              f"({sink.emitted} events, "
-              f"{len(sink.manifest()['chunks'])} chunks)", file=sys.stderr)
+              f"({len(events)} events, {chunks} chunks)", file=sys.stderr)
     return 0

@@ -23,8 +23,7 @@ def configure_parser(parser: argparse.ArgumentParser) -> None:
                         help="slowest tasks to list with --profile")
     parser.add_argument("--save", default=None, metavar="POP.json",
                         help="also write the population archive JSON "
-                             "(the `repro regress` / `metrics --diff` "
-                             "input format)")
+                             "(the `repro regress` input format)")
     add_engine_flags(parser)
 
 

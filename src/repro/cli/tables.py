@@ -19,8 +19,9 @@ def configure_parser(parser: argparse.ArgumentParser) -> None:
 
 
 def run(args: argparse.Namespace) -> int:
+    from ..engine import run_population
     from ..harness import (render_table1, render_table2, render_table3,
-                           render_table4, run_population)
+                           render_table4)
     print(render_table1())
     print()
     print(render_table2())

@@ -46,9 +46,7 @@ def run(args: argparse.Namespace) -> int:
             print("tracediff: a family:seed:length spec is required "
                   "unless --streams is given", file=sys.stderr)
             return 2
-        from ..config import get_generation
-        from ..core import GenerationSimulator
-        from ..observe import TraceSink
+        from ..engine import run as run_one
         from .common import parse_trace_spec
         try:
             spec = parse_trace_spec(args.spec)
@@ -57,17 +55,11 @@ def run(args: argparse.Namespace) -> int:
                   f"family:seed:length (e.g. specint_like:1:6000)",
                   file=sys.stderr)
             return 2
-        trace = spec.build()
         gen_a, gen_b = args.a.upper(), args.b.upper()
-        streams = []
-        for gen in (gen_a, gen_b):
-            sink = TraceSink(capacity=None)
-            sim = GenerationSimulator(get_generation(gen), trace_sink=sink)
-            sim.run(trace, window_interval=0)
-            streams.append(sink.events())
-        diff = diff_event_streams(streams[0], streams[1],
+        a, b = (run_one(spec, gen, trace_to=True) for gen in (gen_a, gen_b))
+        diff = diff_event_streams(a.events, b.events,
                                   a_label=gen_a, b_label=gen_b,
-                                  workload=trace.name)
+                                  workload=a.trace_name)
 
     if args.json:
         print(json.dumps(diff.to_dict(), indent=2, sort_keys=True))

@@ -157,7 +157,7 @@ class Scoreboard:
         #: checkpointed run feeds the UOC identically to an uninterrupted
         #: one.
         self.on_branch = on_branch
-        #: Optional flight recorder; ``None`` (the default) disables
+        #: Optional event sink; ``None`` (the default) disables
         #: tracing at the cost of one branch per instruction.
         self.sink = sink
         #: Optional InstructionCache; fetch-group line crossings that miss
@@ -286,7 +286,7 @@ class Scoreboard:
         process_branch = (branch_unit.process_branch
                           if branch_unit is not None else None)
         on_branch = self.on_branch
-        # Flight recorder (None = tracing off).  Tracing only *reads*
+        # Event sink (None = tracing off).  Tracing only *reads*
         # values the loop computed anyway, so attaching a sink never
         # changes simulated timing.
         trc = self.sink
@@ -474,7 +474,7 @@ class Scoreboard:
                 else:
                     c_st_mem.value += stall
 
-            # ---- flight recorder -----------------------------------------
+            # ---- event trace ---------------------------------------------
             if trc is not None:
                 trc.emit(InstEvent(
                     seq=-1, cycle=completion, index=i, pc=pcs[j],

@@ -49,8 +49,8 @@ class SimulationResult:
     #: The shared registry behind the stats views (None for results
     #: reconstructed from serialized records).
     metrics: Optional[MetricRegistry] = None
-    #: Flight-recorder event stream (empty unless the simulator was
-    #: built with a ``trace_sink``).
+    #: Pipeline event stream (empty unless the run was traced, see
+    #: ``repro.run(..., trace_to=...)``).
     events: List[TraceEvent] = field(default_factory=list)
 
     @property
@@ -84,8 +84,9 @@ class GenerationSimulator:
         self.config = config
         self.corunners = corunners
         self.metrics = MetricRegistry()
-        #: Optional flight recorder shared by every component; ``None``
-        #: (the default) keeps all emission sites disabled.
+        #: Optional event sink shared by every component — the wire
+        #: ``repro.run(..., trace_to=...)`` attaches; ``None`` (the
+        #: default) keeps all emission sites disabled.
         self.trace_sink = trace_sink
         self.ledger = EnergyLedger(registry=self.metrics)
         self.branch_unit = BranchUnit(config, ledger=self.ledger,

@@ -47,7 +47,6 @@ from .tasks import (  # noqa: F401
     execute_task_heartbeat,
     execute_task_timed,
     ghist_task,
-    pipetrace_task,
     population_task,
     task_fingerprint,
     task_instructions,

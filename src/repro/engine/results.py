@@ -1,10 +1,9 @@
 """Population result types.
 
-These are the stable return types of every population run.  They
-historically lived in :mod:`repro.harness.population` and are still
-re-exported from there; the canonical home is now the engine so that the
-execution layer (:mod:`repro.engine.runner`) does not depend on the
-figure/table harness built on top of it.
+These are the stable return types of every population run.  They live
+in the engine, so the execution layer (:mod:`repro.engine.runner`) does
+not depend on the figure/table harness built on top of it; import them
+from :mod:`repro.engine`.
 
 Run records are schema-versioned: :data:`RESULT_SCHEMA_VERSION` is
 stamped into every serialized :class:`SliceMetrics` row (and, through

@@ -54,8 +54,8 @@ class EngineStats:
     #: Per-executed-task wall times (empty when everything was cached).
     task_timings: List[TaskTiming] = field(default_factory=list)
     #: Per-task-kind cache accounting: ``{"population": {"hits": h,
-    #: "executed": e}, "warmup": ...}`` — the warmup-vs-measure (vs
-    #: pipetrace) hit-rate view ``describe_profile`` renders.  The
+    #: "executed": e}, "warmup": ...}`` — the warmup-vs-measure
+    #: hit-rate view ``describe_profile`` renders.  The
     #: pseudo-kind ``"trace_compile"`` counts prepared-trace reuse:
     #: hits = memo + compiled-store hits, executed = traces built.
     kind_stats: Dict[str, Dict[str, int]] = field(default_factory=dict)
@@ -274,9 +274,13 @@ class PopulationEngine:
         telemetry heartbeat riding the result channel; trace_stats is the
         task's trace-preparation counter delta (``None`` from legacy
         3-tuple heartbeats, e.g. tests monkeypatching the heartbeat)."""
+        # The cache root rides along as a transport-only key (skipped
+        # by fingerprints), so compiled traces land beside the results.
+        root = str(self.cache.cache_dir)
+        ordered = [{**payloads[i], "_cache_dir": root} for i in missing]
         if self.workers <= 1 or len(missing) <= 1:
-            for i in missing:
-                out = execute_task_heartbeat(payloads[i])
+            for i, payload in zip(missing, ordered):
+                out = execute_task_heartbeat(payload)
                 yield (i, out[0], out[1], out[2],
                        out[3] if len(out) > 3 else None)
             return
@@ -285,7 +289,6 @@ class PopulationEngine:
         # its per-process trace memo pays off (tasks are trace-major).
         chunksize = max(1, len(missing) // (n_workers * 4))
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            ordered = [payloads[i] for i in missing]
             for i, out in zip(
                     missing,
                     pool.map(execute_task_heartbeat, ordered,
@@ -527,15 +530,13 @@ def run(trace_or_spec: TraceLike,
     bit-identical to ``warmup=0``.  The memo needs a regenerable spec:
     a materialized ``Trace`` falls back to one uninterrupted run.
 
-    ``trace_to`` turns pipeline event tracing on (the public API —
-    hand-wiring a sink into ``GenerationSimulator`` is the deprecated
-    spelling): ``True`` captures in memory (``result.events``), a
-    directory path streams chunked JSONL + manifest there, a ``.jsonl``
-    path writes one flat event file, and an existing
-    :class:`~repro.observe.TraceSink` / :class:`~repro.observe
-    .StreamingTraceSink` is used as-is (see
-    :func:`repro.observe.trace`).  Default ``None``: tracing off, the
-    zero-overhead path.  With ``warmup``, the warmup prefix runs
+    ``trace_to`` turns pipeline event tracing on; it is the one way a
+    traced run starts.  ``True`` captures in memory
+    (``result.events``), a ``.jsonl`` path also writes one flat event
+    file, and any other path is a directory that receives the chunked
+    JSONL stream + manifest (read either back with
+    :func:`repro.observe.load_events`).  Default ``None``: tracing off,
+    the zero-overhead path.  With ``warmup``, the warmup prefix runs
     untraced — the captured stream covers the measure phase only.
 
     A spec's compiled trace is reused via the in-process memo and the

@@ -15,12 +15,9 @@ Task kinds:
 ``"ghist"``
     One Figure 1 measurement: conditional MPKI of a standalone SHP with a
     given GHIST hash range over one trace.
-``"pipetrace"``
-    One flight-recorded run: the same full-simulator pass as
-    ``"population"`` but with a :class:`~repro.observe.TraceSink`
-    attached; the result carries the serialized event stream.  Because
-    events flow through the ordinary task machinery, the determinism
-    tests can compare serial vs. worker event streams byte for byte.
+``"warmup"``
+    The first ``warmup`` instructions of a population run; the result
+    is the simulator checkpoint that measure phases resume from.
 
 The fingerprint of a task hashes its *entire* payload (full nested config
 dict included) together with the package version and an engine schema
@@ -55,7 +52,8 @@ from .cache import CompiledTraceStore
 #: stall-bucket counters (result schema 3) and "pipetrace" accepts an
 #: unbounded capture (``capacity=None``); 5 = the "warmup" task kind
 #: landed (results are simulator checkpoint documents) and ``warmup``
-#: joined the population payload.
+#: joined the population payload.  Removing the "pipetrace" kind later
+#: changed no surviving payload or result, so it took no bump.
 ENGINE_SCHEMA_VERSION = 5
 
 
@@ -102,24 +100,6 @@ def warmup_task(config: GenerationConfig, spec: TraceSpec,
             f"trace, got {warmup}")
     return {**population_task(config, spec, corunners, window_interval,
                               window_counters, warmup), "kind": "warmup"}
-
-
-def pipetrace_task(config: GenerationConfig, spec: TraceSpec,
-                   corunners: int = 0,
-                   capacity: Optional[int] = 65536) -> Dict[str, Any]:
-    """One flight-recorded simulator run (events in the result).
-
-    ``capacity`` bounds the ring; ``None`` captures the complete stream
-    (the mode chunked streaming and ``repro tracediff`` use — nothing
-    is dropped no matter how long the trace is).
-    """
-    return {
-        "kind": "pipetrace",
-        "config": config_to_dict(config),
-        "trace": spec.to_dict(),
-        "corunners": corunners,
-        "capacity": capacity,
-    }
 
 
 def ghist_task(spec: TraceSpec, ghist_bits: int, tables: int = 8,
@@ -221,8 +201,13 @@ _CTRACE_MEMO: "OrderedDict[Tuple[str, int, int], CompiledTrace]" = \
     OrderedDict()
 
 
-def _build_compiled(spec_dict: Dict[str, Any]) -> CompiledTrace:
-    """Memo -> store -> generate+compile, cheapest source first."""
+def _build_compiled(spec_dict: Dict[str, Any],
+                    cache_dir: Optional[str] = None) -> CompiledTrace:
+    """Memo -> store -> generate+compile, cheapest source first.
+
+    ``cache_dir`` roots the store (default: ``$REPRO_CACHE_DIR`` or
+    ``~/.cache/repro``); engine payloads carry their cache root as the
+    transport-only ``"_cache_dir"`` key."""
     spec = TraceSpec(**spec_dict)
     key = spec.key()
     compiled = _CTRACE_MEMO.get(key)
@@ -230,7 +215,7 @@ def _build_compiled(spec_dict: Dict[str, Any]) -> CompiledTrace:
         _CTRACE_MEMO.move_to_end(key)
         _TRACE_STATS["memo_hits"] += 1
         return compiled
-    store = CompiledTraceStore() if trace_store_enabled() else None
+    store = CompiledTraceStore(cache_dir) if trace_store_enabled() else None
     fp = compiled_fingerprint(*key) if store is not None else None
     if store is not None:
         compiled = store.get(fp)
@@ -280,7 +265,7 @@ def _run_warmup_task(payload: Dict[str, Any]) -> Dict[str, Any]:
     from ..core import GenerationSimulator
 
     config = config_from_dict(payload["config"])
-    trace = _build_compiled(payload["trace"])
+    trace = _build_compiled(payload["trace"], payload.get("_cache_dir"))
     sim = GenerationSimulator(config, corunners=payload.get("corunners", 0))
     sim.run(trace.slice(0, int(payload["warmup"])),
             window_interval=payload.get(
@@ -296,7 +281,7 @@ def _run_population_task(payload: Dict[str, Any]) -> Dict[str, Any]:
     from .results import SliceMetrics
 
     config = config_from_dict(payload["config"])
-    trace = _build_compiled(payload["trace"])
+    trace = _build_compiled(payload["trace"], payload.get("_cache_dir"))
     sim = GenerationSimulator(config, corunners=payload.get("corunners", 0))
     counters = payload.get("window_counters")
     warmup = int(payload.get("warmup", 0) or 0)
@@ -304,11 +289,10 @@ def _run_population_task(payload: Dict[str, Any]) -> Dict[str, Any]:
         # Resume the measure phase from the warmup-prefix snapshot; the
         # engine ships it as a transport field when it already has it,
         # otherwise the per-process memo builds (or reuses) it here.
+        # The other transport keys (the cache root) ride along.
         state = payload.get("_warmup_state")
         if state is None:
-            inner = {**{k: v for k, v in payload.items()
-                        if not k.startswith("_")}, "kind": "warmup"}
-            state = warmup_checkpoint(inner)
+            state = warmup_checkpoint({**payload, "kind": "warmup"})
         sim.restore(state)
         trace = trace.slice(warmup)
     r = sim.run(trace,
@@ -346,31 +330,9 @@ def _run_ghist_task(payload: Dict[str, Any]) -> Dict[str, Any]:
     return {"conditional_mpki": measure_conditional_mpki(shp, trace)}
 
 
-def _run_pipetrace_task(payload: Dict[str, Any]) -> Dict[str, Any]:
-    from ..core import GenerationSimulator
-    from ..observe.sink import TraceSink
-
-    config = config_from_dict(payload["config"])
-    trace = _build_compiled(payload["trace"])
-    sink = TraceSink(capacity=payload.get("capacity", 65536))
-    sim = GenerationSimulator(config, corunners=payload.get("corunners", 0),
-                              trace_sink=sink)
-    r = sim.run(trace, window_interval=0)
-    return {
-        "generation": config.name,
-        "trace_name": trace.name,
-        "cycles": r.core.cycles,
-        "ipc": r.ipc,
-        "emitted": sink.emitted,
-        "dropped": sink.dropped,
-        "events": [e.to_dict() for e in r.events],
-    }
-
-
 _EXECUTORS = {
     "population": _run_population_task,
     "ghist": _run_ghist_task,
-    "pipetrace": _run_pipetrace_task,
     "warmup": _run_warmup_task,
 }
 

@@ -112,7 +112,7 @@ class BranchUnit:
         self.config = config
         bp = config.branch
         self.stats = BranchStats(registry)
-        #: Optional flight recorder for branch-resolution events.
+        #: Optional event sink for branch-resolution events.
         self.sink = sink
         #: (predicted_taken, predicted_target) of the branch in flight,
         #: captured by the predict paths only while tracing.

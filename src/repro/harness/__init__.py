@@ -14,10 +14,7 @@ from .figures import (  # noqa: F401
     render_curves,
 )
 from .population import (  # noqa: F401
-    PopulationResult,
-    SliceMetrics,
     branch_pair_statistics,
-    run_population,
     to_csv,
     windows_to_csv,
 )

@@ -15,10 +15,10 @@ import os
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..config import GENERATION_ORDER
+from ..engine import PopulationResult, run_population
 from ..frontend.baselines import ShpDirectionAdapter, measure_conditional_mpki
 from ..frontend.shp import ScaledHashedPerceptron
 from ..traces import Trace, cbp5_suite, cbp5_suite_specs
-from .population import PopulationResult, run_population
 
 #: Fig 1's x-axis: GHIST hash-range bit budgets.
 FIG1_GHIST_POINTS: Tuple[int, ...] = (2, 8, 24, 60, 120, 165, 240, 330)

@@ -5,16 +5,15 @@ the Section IV/X summary numbers) are all population statistics over its
 4,026 trace slices.  Execution lives in :mod:`repro.engine`: the
 (trace x generation) task matrix is sharded across worker processes
 (``workers=N``) and memoized in-process or on disk
-(``cache="off"|"memory"|"disk"``), and this module re-exports the stable
-API the figure/table renderers consume.
+(``cache="off"|"memory"|"disk"``); this module holds the CSV exports
+and the suite-level branch statistics.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Sequence
 
-from ..engine.results import PopulationResult, SliceMetrics  # noqa: F401
-from ..engine.runner import run_population  # noqa: F401
+from ..engine.results import PopulationResult
 from ..traces import Trace
 
 

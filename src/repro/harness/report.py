@@ -11,6 +11,7 @@ import os
 from typing import Optional
 
 from ..config import GENERATION_ORDER
+from ..engine import PopulationResult, run_population
 from .figures import (
     figure1_ghist_sweep,
     figure9_mpki,
@@ -20,7 +21,6 @@ from .figures import (
     overall_summary,
     render_curves,
 )
-from .population import PopulationResult, run_population
 from .tables import render_table1, render_table2, render_table3, render_table4
 
 _HEADER = """\

@@ -10,8 +10,8 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence
 
 from ..config import GENERATION_ORDER, all_generations
+from ..engine import PopulationResult, run_population
 from ..frontend.storage import PAPER_TABLE2, generation_budget
-from .population import PopulationResult, run_population
 
 #: Table IV as published (average load latency, cycles).
 PAPER_TABLE4: Dict[str, float] = {

@@ -84,7 +84,7 @@ class MemoryHierarchy:
                  sink: Optional[TraceSink] = None) -> None:
         self.config = config
         self.stats = MemoryStats(registry)
-        #: Optional flight recorder for demand/prefetch events.
+        #: Optional event sink for demand/prefetch events.
         self.sink = sink
         #: Serving level of the last `_miss_path` call, read only by the
         #: guarded trace emission in `access()`.

@@ -22,8 +22,7 @@ from .formulas import STANDARD_FORMULAS
 from .regress import (REGRESS_SCHEMA_VERSION, REGRESSION_METRICS,
                       compare_populations, permutation_pvalue,
                       population_rows, regress_exit_code,
-                      render_population_diff, render_regress,
-                      window_delta_pvalue)
+                      render_regress, window_delta_pvalue)
 from .registry import (Counter, Formula, Gauge, MetricRegistry,
                        MetricSnapshot, StatsView)
 from .windows import (DEFAULT_WINDOW_INSTRUCTIONS, STALL_WINDOW_COUNTERS,
@@ -52,7 +51,6 @@ __all__ = [
     "permutation_pvalue",
     "population_rows",
     "regress_exit_code",
-    "render_population_diff",
     "render_regress",
     "window_delta_pvalue",
 ]

@@ -336,31 +336,3 @@ def render_regress(report: Dict[str, Any], top: int = 10) -> str:
         if report[side]:
             lines.append(f"  {label}: {', '.join(report[side])}")
     return "\n".join(lines)
-
-
-def render_population_diff(report: Dict[str, Any], top: int = 0) -> str:
-    """Full per-slice delta matrix (the ``metrics --diff`` population
-    view): every changed cell, or the ``top`` largest relative movers."""
-    lines: List[str] = []
-    s = report["summary"]
-    changed = [c for c in report["cells"] if c["delta"] != 0]
-    lines.append(f"population diff: {len(changed)} of "
-                 f"{s['cells_compared']} cells differ across "
-                 f"{s['slices_compared']} slices "
-                 f"({s['regressions']} significant regressions, "
-                 f"{s['improvements']} significant improvements)")
-    shown = changed
-    if top > 0:
-        shown = sorted(changed,
-                       key=lambda c: (-(abs(c["rel"]) if c["rel"] is not None
-                                        else float("inf")),
-                                      c["generation"], c["trace"],
-                                      c["metric"]))[:top]
-        lines.append(f"  top {len(shown)} by relative change:")
-    for cell in shown:
-        lines.append("  " + _format_cell(cell))
-    for side, label in (("only_base", "only in A"),
-                        ("only_current", "only in B")):
-        if report.get(side):
-            lines.append(f"  {label}: {', '.join(report[side])}")
-    return "\n".join(lines)

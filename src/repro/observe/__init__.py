@@ -1,12 +1,13 @@
 """repro.observe — pipeline event tracing and engine self-profiling.
 
-The observability layer: an opt-in, bounded flight recorder
-(:class:`TraceSink`) that the scoreboard, branch unit, uop-cache
-controller and memory hierarchy emit lifecycle events into; chunked
-persistence past the ring (:class:`StreamingTraceSink` and the
-:func:`trace` capture API); generation-over-generation divergence
-analysis (:func:`diff_event_streams`, the ``python -m repro
-tracediff`` subcommand); exporters for Chrome/Perfetto
+The observability layer: opt-in pipeline event capture that the
+scoreboard, branch unit, uop-cache controller and memory hierarchy emit
+lifecycle events into, started by ``repro.run(..., trace_to=...)`` —
+in memory (:class:`TraceSink`) or as a chunked on-disk stream
+(:class:`StreamingTraceSink`), read back with :func:`load_events`;
+generation-over-generation divergence analysis
+(:func:`diff_event_streams`, the ``python -m repro tracediff``
+subcommand); exporters for Chrome/Perfetto
 (:func:`chrome_trace_json`, with per-window counter tracks) and a
 gem5-pipeview-style ASCII timeline (:func:`render_pipeview`, the
 ``python -m repro pipeview`` subcommand); and the engine
@@ -61,17 +62,14 @@ from .profile import (  # noqa: F401
     kind_hit_rates,
     slowest_tasks,
 )
-from .sink import DEFAULT_CAPACITY, TraceSink, maybe_sink  # noqa: F401
+from .sink import TraceSink  # noqa: F401
 from .stream import (  # noqa: F401
     DEFAULT_CHUNK_EVENTS,
     MANIFEST_NAME,
     STREAM_SCHEMA_VERSION,
     StreamingTraceSink,
-    iter_stream_events,
     load_events,
     read_manifest,
-    read_stream_events,
-    stream_event_dicts,
     trace,
 )
 from .telemetry import (  # noqa: F401
@@ -102,17 +100,12 @@ __all__ = [
     "events_to_jsonl",
     "events_from_jsonl",
     "TraceSink",
-    "DEFAULT_CAPACITY",
-    "maybe_sink",
     "StreamingTraceSink",
     "DEFAULT_CHUNK_EVENTS",
     "MANIFEST_NAME",
     "STREAM_SCHEMA_VERSION",
-    "iter_stream_events",
-    "read_stream_events",
     "read_manifest",
     "load_events",
-    "stream_event_dicts",
     "trace",
     "DIVERGENCE_CLASSES",
     "Divergence",

@@ -1,22 +1,16 @@
-"""The flight recorder: a bounded ring-buffer trace sink.
+"""The in-memory trace sink: every event of a run, in emission order.
 
-A :class:`TraceSink` is handed to :class:`~repro.core.simulator
-.GenerationSimulator` (``trace_sink=``) and threaded into the
-scoreboard, branch unit, uop-cache controller and memory hierarchy.
-Each producer holds the sink (or ``None``) and guards every emission
-with a single ``is not None`` check, so the disabled mode — the default
-— costs one predictable branch per instrumented site and allocates
-nothing.
+A :class:`TraceSink` is what ``repro.run(..., trace_to=True)`` (and a
+``.jsonl`` target) hands to :class:`~repro.core.simulator
+.GenerationSimulator`, which threads it into the scoreboard, branch
+unit, uop-cache controller and memory hierarchy.  Each producer holds
+the sink (or ``None``) and guards every emission with a single
+``is not None`` check, so the disabled mode — the default — costs one
+predictable branch per instrumented site and allocates nothing.
 
-The buffer is bounded (``capacity`` events, default
-:data:`DEFAULT_CAPACITY`): once full, the oldest events are overwritten
-flight-recorder style, and :attr:`TraceSink.dropped` reports how many
-fell off the front.  Emission order is preserved; ``events()`` returns
-the retained window oldest-first.  ``capacity=None`` disables the bound
-entirely — every event is retained (the capture mode the streaming
-layer and ``repro tracediff`` build on); traces longer than memory
-allows should go through
-:class:`~repro.observe.stream.StreamingTraceSink` instead.
+The sink keeps every event; traces longer than memory allows go to
+disk through :class:`~repro.observe.stream.StreamingTraceSink` (a
+directory target) instead.
 
 Determinism: the sink records only values the simulation already
 computed — cycle stamps, PCs, predictor outcomes — never wall-clock or
@@ -27,83 +21,47 @@ the simulation ran serially or inside a worker process.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from .events import TraceEvent
 
-#: Default flight-recorder depth, in events.  A 12k-instruction slice
-#: emits roughly 1.5 events per instruction, so the default retains a
-#: full default CLI run with headroom.
-DEFAULT_CAPACITY = 65536
-
 
 class TraceSink:
-    """Bounded, overwrite-oldest event buffer (unbounded if capacity is
-    ``None``)."""
+    """Unbounded in-memory event list."""
 
-    __slots__ = ("capacity", "emitted", "_buffer", "_head")
+    __slots__ = ("emitted", "_events")
 
-    def __init__(self,
-                 capacity: Optional[int] = DEFAULT_CAPACITY) -> None:
-        if capacity is not None and capacity <= 0:
-            raise ValueError("trace sink capacity must be positive")
-        self.capacity = int(capacity) if capacity is not None else None
-        #: Total events ever emitted (retained + dropped).
+    def __init__(self) -> None:
+        #: Sequence number of the next event (continues across a
+        #: checkpoint restore, so it can exceed ``len(self)``).
         self.emitted = 0
-        self._buffer: List[TraceEvent] = []
-        self._head = 0
-
-    @property
-    def dropped(self) -> int:
-        """Events overwritten by newer ones (flight-recorder loss)."""
-        if self.capacity is None:
-            return 0
-        return max(0, self.emitted - self.capacity)
+        self._events: List[TraceEvent] = []
 
     def emit(self, event: TraceEvent) -> None:
-        """Stamp ``event`` with the next sequence number and retain it."""
+        """Stamp ``event`` with the next sequence number and keep it."""
         event.seq = self.emitted
         self.emitted += 1
-        if self.capacity is None or len(self._buffer) < self.capacity:
-            self._buffer.append(event)
-        else:
-            self._buffer[self._head] = event
-            self._head = (self._head + 1) % self.capacity
+        self._events.append(event)
 
     def events(self) -> List[TraceEvent]:
-        """The retained window, oldest first."""
-        return self._buffer[self._head:] + self._buffer[:self._head]
-
-    def clear(self) -> None:
-        """Forget everything (sequence numbering restarts at 0)."""
-        self.emitted = 0
-        self._buffer = []
-        self._head = 0
+        """Every kept event, oldest first."""
+        return list(self._events)
 
     def __len__(self) -> int:
-        return len(self._buffer)
+        return len(self._events)
 
     # -- checkpointing (state_dict protocol) --------------------------------
-    # Only the sequence counter is state: a restored sink starts with an
-    # empty buffer but continues numbering where the saved run stopped,
-    # so the pre-checkpoint stream concatenated with the post-restore
-    # stream is byte-identical to an uninterrupted run's stream.
+    # Only the sequence counter is state: a restored sink starts empty
+    # but continues numbering where the saved run stopped, so the
+    # pre-checkpoint stream concatenated with the post-restore stream is
+    # byte-identical to an uninterrupted run's stream.
 
     def state_dict(self) -> dict[str, object]:
         return {"emitted": self.emitted}
 
     def load_state_dict(self, state: dict[str, object]) -> None:
         self.emitted = int(state["emitted"])
-        self._buffer = []
-        self._head = 0
+        self._events = []
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"TraceSink(capacity={self.capacity}, "
-                f"emitted={self.emitted}, dropped={self.dropped})")
-
-
-def maybe_sink(enabled: bool,
-               capacity: int = DEFAULT_CAPACITY) -> Optional[TraceSink]:
-    """``TraceSink(capacity)`` when ``enabled``, else ``None`` — the
-    shape producers expect (``None`` = tracing off, zero cost)."""
-    return TraceSink(capacity) if enabled else None
+        return f"TraceSink(emitted={self.emitted})"

@@ -1,15 +1,13 @@
-"""Chunked trace streaming: durable event persistence past the ring.
+"""Chunked trace streaming, the trace reader, and the capture targets.
 
-The flight recorder (:class:`~repro.observe.sink.TraceSink`) keeps only
-the *tail* of a run — a trace longer than the ring loses its beginning.
-:class:`StreamingTraceSink` removes that bound by spilling the event
-stream to disk in bounded, sorted-key JSONL chunks::
+:class:`StreamingTraceSink` spills the event stream to disk in bounded,
+sorted-key JSONL chunks, so a run's trace need not fit in memory::
 
     trace_dir/
         trace-000001.jsonl      # chunk_events events, one JSON line each
         trace-000002.jsonl
         ...
-        manifest.json           # chunk index: event counts + byte offsets
+        manifest.json           # per-chunk event counts + stream totals
 
 Chunks hold exactly ``chunk_events`` events (the final one may be
 partial) in emission order, serialized through the same canonical
@@ -18,35 +16,28 @@ in the tracing layer — so for a fixed seed the on-disk bytes are
 identical whether the events were produced serially or inside a worker
 process, and ``cat trace-*.jsonl`` is itself a valid event stream.
 
-The manifest records, per chunk, the file name, event count, first/last
-sequence number, byte size, and the byte offset of the chunk within the
-concatenated stream, plus stream totals — so integrity is checkable
-without reading any chunk (``manifest event count == emitted``) and a
-reader can seek to an arbitrary sequence number by offset arithmetic.
+:func:`load_events` reads either layout back — a stream directory or a
+flat ``.jsonl`` file — checking each chunk's event count against the
+manifest (truncation) and the manifest's schema.
 
-:func:`trace` is the public capture API: a context manager that turns a
-target (directory, ``.jsonl`` path, existing sink, or ``None`` for
-in-memory) into the right sink and guarantees the flush/manifest write
-on exit.  ``repro.run(..., trace_to=...)`` wraps it; hand-wiring a sink
-into ``GenerationSimulator(trace_sink=...)`` still works but is the
-deprecated spelling (``docs/observability.md``).
+:func:`trace` turns a ``repro.run(..., trace_to=...)`` target into the
+right sink and guarantees the flush/manifest write on exit.
 """
 
 from __future__ import annotations
 
 import contextlib
-import gzip
 import json
 import os
-from typing import (Any, Dict, Iterable, Iterator, List, Optional,
-                    Union)
+from typing import Any, Dict, List, Optional, Union
 
-from .events import (TraceEvent, event_from_dict, events_from_jsonl,
-                     events_to_jsonl)
+from .events import TraceEvent, events_from_jsonl, events_to_jsonl
 from .sink import TraceSink
 
-#: Bump when the manifest/chunk layout changes.
-STREAM_SCHEMA_VERSION = 1
+#: Bump when the manifest/chunk layout changes.  History: 1 = per-chunk
+#: seq ranges, byte sizes and offsets, and a chunk codec; 2 = JSONL
+#: chunks indexed by file name and event count only.
+STREAM_SCHEMA_VERSION = 2
 
 #: Events per chunk file.  Small enough that a chunk is a cheap unit of
 #: IO and diffing, large enough that a full default CLI run stays in a
@@ -55,7 +46,6 @@ DEFAULT_CHUNK_EVENTS = 16384
 
 MANIFEST_NAME = "manifest.json"
 _CHUNK_TEMPLATE = "trace-{:06d}.jsonl"
-_CHUNK_TEMPLATE_GZ = "trace-{:06d}.jsonl.gz"
 
 
 class StreamingTraceSink:
@@ -64,37 +54,25 @@ class StreamingTraceSink:
     Drop-in for :class:`TraceSink` at every emission site (producers
     only call ``emit``): events are buffered up to ``chunk_events`` and
     flushed as numbered chunk files; :meth:`close` flushes the final
-    partial chunk and writes the manifest.  Nothing is ever dropped —
-    ``dropped`` exists for interface parity and is always 0.
+    partial chunk and writes the manifest.
 
-    ``meta`` (generation name, trace spec, ...) is carried verbatim
+    ``meta`` (generation name, trace name, ...) is carried verbatim
     into the manifest for later identification; it must be JSON-safe.
-
-    ``compress=True`` gzips each chunk (``trace-NNNNNN.jsonl.gz``, with
-    a zeroed mtime so the bytes stay deterministic); the manifest's
-    ``codec`` records which form the chunks take, and the readers open
-    either transparently.  ``zcat trace-*.jsonl.gz`` remains a valid
-    event stream — gzip members concatenate.
     """
 
     def __init__(self, directory: Union[str, os.PathLike],
                  chunk_events: int = DEFAULT_CHUNK_EVENTS,
-                 meta: Optional[Dict[str, Any]] = None,
-                 compress: bool = False) -> None:
+                 meta: Optional[Dict[str, Any]] = None) -> None:
         if chunk_events <= 0:
             raise ValueError("chunk_events must be positive")
         self.directory = os.fspath(directory)
         self.chunk_events = int(chunk_events)
         self.meta = dict(meta) if meta else {}
-        self.compress = bool(compress)
         #: Total events emitted into the stream.
         self.emitted = 0
-        #: Interface parity with TraceSink; streaming never drops.
-        self.dropped = 0
         self.closed = False
         self._buffer: List[TraceEvent] = []
         self._chunks: List[Dict[str, Any]] = []
-        self._offset = 0  # byte offset within the concatenated stream
         os.makedirs(self.directory, exist_ok=True)
 
     def emit(self, event: TraceEvent) -> None:
@@ -110,32 +88,18 @@ class StreamingTraceSink:
     def events(self) -> List[TraceEvent]:
         """The not-yet-flushed tail (interface parity with TraceSink).
 
-        The durable record is on disk; use :func:`iter_stream_events`
-        on the directory after :meth:`close` for the full stream.
+        The durable record is on disk; use :func:`load_events` on the
+        directory after :meth:`close` for the full stream.
         """
         return list(self._buffer)
 
     def _flush_chunk(self) -> None:
         if not self._buffer:
             return
-        template = _CHUNK_TEMPLATE_GZ if self.compress else _CHUNK_TEMPLATE
-        name = template.format(len(self._chunks) + 1)
-        data = (events_to_jsonl(self._buffer) + "\n").encode("utf-8")
-        if self.compress:
-            # mtime=0 keeps the compressed bytes a pure function of the
-            # event stream (the gzip header embeds a timestamp).
-            data = gzip.compress(data, mtime=0)
-        with open(os.path.join(self.directory, name), "wb") as f:
-            f.write(data)
-        self._chunks.append({
-            "file": name,
-            "events": len(self._buffer),
-            "first_seq": self._buffer[0].seq,
-            "last_seq": self._buffer[-1].seq,
-            "bytes": len(data),
-            "offset": self._offset,
-        })
-        self._offset += len(data)
+        name = _CHUNK_TEMPLATE.format(len(self._chunks) + 1)
+        with open(os.path.join(self.directory, name), "w") as f:
+            f.write(events_to_jsonl(self._buffer) + "\n")
+        self._chunks.append({"file": name, "events": len(self._buffer)})
         self._buffer = []
 
     def manifest(self) -> Dict[str, Any]:
@@ -143,10 +107,7 @@ class StreamingTraceSink:
         return {
             "schema": STREAM_SCHEMA_VERSION,
             "chunk_events": self.chunk_events,
-            "codec": "gzip" if self.compress else "jsonl",
             "events": self.emitted,
-            "dropped": self.dropped,
-            "bytes": self._offset,
             "chunks": list(self._chunks),
             "meta": dict(self.meta),
         }
@@ -182,15 +143,6 @@ class StreamingTraceSink:
 # Reading a persisted stream back
 # ---------------------------------------------------------------------------
 
-def _read_chunk_text(path: str) -> str:
-    """One chunk file's JSONL text, plain or gzipped (by extension)."""
-    if path.endswith(".gz"):
-        with gzip.open(path, "rt", encoding="utf-8") as f:
-            return f.read()
-    with open(path) as f:
-        return f.read()
-
-
 def read_manifest(directory: Union[str, os.PathLike]) -> Dict[str, Any]:
     """Load and validate a stream directory's ``manifest.json``."""
     path = os.path.join(os.fspath(directory), MANIFEST_NAME)
@@ -204,114 +156,57 @@ def read_manifest(directory: Union[str, os.PathLike]) -> Dict[str, Any]:
     return doc
 
 
-def iter_stream_events(directory: Union[str, os.PathLike], *,
-                       start_seq: int = 0) -> Iterator[TraceEvent]:
-    """Lazily yield every event of a persisted stream, oldest first.
-
-    Reads one chunk at a time, so arbitrarily long streams replay in
-    bounded memory.  Raises ``ValueError`` if a chunk's event count
-    disagrees with the manifest (truncation/corruption check).
-
-    ``start_seq`` seeks: only events with ``seq >= start_seq`` are
-    yielded, and chunks whose manifest ``last_seq`` falls entirely
-    before the seek point are skipped without ever being opened — the
-    manifest's per-chunk seq ranges make the seek O(chunks skipped)
-    in manifest entries, not O(events skipped) in file reads.
-    """
-    directory = os.fspath(directory)
-    manifest = read_manifest(directory)
-    for entry in manifest["chunks"]:
-        if entry["last_seq"] < start_seq:
-            continue  # whole chunk predates the seek point: never opened
-        events = events_from_jsonl(
-            _read_chunk_text(os.path.join(directory, entry["file"])))
-        if len(events) != entry["events"]:
-            raise ValueError(
-                f"chunk {entry['file']} holds {len(events)} events, "
-                f"manifest says {entry['events']}")
-        if entry["first_seq"] >= start_seq:
-            yield from events
-        else:  # boundary chunk: drop the prefix before the seek point
-            yield from (ev for ev in events if ev.seq >= start_seq)
-
-
-def read_stream_events(directory: Union[str, os.PathLike]
-                       ) -> List[TraceEvent]:
-    """The whole persisted stream as a list (small streams/tests)."""
-    return list(iter_stream_events(directory))
-
-
 def load_events(path: Union[str, os.PathLike]) -> List[TraceEvent]:
-    """Events from either stream layout: a chunked stream directory
-    (``manifest.json`` present) or a flat ``.jsonl`` event file."""
+    """Every event of a persisted stream, oldest first: a chunked
+    stream directory (``manifest.json`` present) or a flat ``.jsonl``
+    event file.  Raises ``ValueError`` if a chunk's event count
+    disagrees with the manifest (truncation/corruption check)."""
     path = os.fspath(path)
-    if os.path.isdir(path):
-        return read_stream_events(path)
-    with open(path) as f:
-        return events_from_jsonl(f.read())
-
-
-def stream_event_dicts(sink: StreamingTraceSink,
-                       dicts: Iterable[Dict[str, Any]]) -> None:
-    """Feed serialized event dicts (e.g. a ``pipetrace`` task result's
-    ``events`` list) through ``sink``, re-stamping sequence numbers in
-    arrival order.  This is the host-side bridge that persists worker-
-    produced streams: the engine returns results in payload order, so
-    serial and ``workers=N`` runs write byte-identical chunks."""
-    for d in dicts:
-        sink.emit(event_from_dict(d))
+    if not os.path.isdir(path):
+        with open(path) as f:
+            return events_from_jsonl(f.read())
+    events: List[TraceEvent] = []
+    for entry in read_manifest(path)["chunks"]:
+        with open(os.path.join(path, entry["file"])) as f:
+            chunk = events_from_jsonl(f.read())
+        if len(chunk) != entry["events"]:
+            raise ValueError(
+                f"chunk {entry['file']} holds {len(chunk)} events, "
+                f"manifest says {entry['events']}")
+        events.extend(chunk)
+    return events
 
 
 # ---------------------------------------------------------------------------
-# The public capture API
+# Capture targets
 # ---------------------------------------------------------------------------
 
-TraceTarget = Union[None, str, os.PathLike, TraceSink, StreamingTraceSink]
+TraceTarget = Union[None, str, os.PathLike]
 
 
 @contextlib.contextmanager
 def trace(target: TraceTarget = None, *,
-          chunk_events: int = DEFAULT_CHUNK_EVENTS,
-          meta: Optional[Dict[str, Any]] = None,
-          compress: bool = False):
-    """Context manager yielding the right sink for ``target``.
+          meta: Optional[Dict[str, Any]] = None):
+    """Context manager yielding the sink for a ``trace_to`` target.
 
-    - ``None`` — an unbounded in-memory :class:`TraceSink` (read
-      ``sink.events()`` / ``result.events`` afterwards);
-    - a directory path — a :class:`StreamingTraceSink` writing chunked
-      JSONL + manifest there (closed on exit; ``compress=True`` gzips
-      the chunks);
+    - ``None`` — an in-memory :class:`TraceSink` (read ``result.events``
+      afterwards);
     - a ``*.jsonl`` path — in-memory capture, written as one flat
       sorted-key JSONL file on exit;
-    - an existing sink — passed through (a ``StreamingTraceSink`` is
-      closed on exit so callers can't forget the manifest).
+    - any other path — a directory: a :class:`StreamingTraceSink`
+      writing chunked JSONL + manifest there, closed on exit (``meta``
+      goes into the manifest).
 
-    This is the supported way to wire tracing up::
+    ``repro.run(..., trace_to=...)`` is the way to use it::
 
-        from repro.observe import trace
-
-        with trace("run_trace/") as sink:
-            repro.run(("specint_like", 1), "M6", trace_to=sink)
-
-    (or just ``repro.run(..., trace_to="run_trace/")``, which wraps
-    this).  Handing a sink straight to ``GenerationSimulator`` remains
-    supported but deprecated.
+        repro.run(("specint_like", 1), "M6", trace_to="run_trace/")
     """
     if target is None:
-        yield TraceSink(capacity=None)
-        return
-    if isinstance(target, StreamingTraceSink):
-        try:
-            yield target
-        finally:
-            target.close()
-        return
-    if isinstance(target, TraceSink):
-        yield target
+        yield TraceSink()
         return
     path = os.fspath(target)
     if path.endswith(".jsonl"):
-        sink = TraceSink(capacity=None)
+        sink = TraceSink()
         try:
             yield sink
         finally:
@@ -322,9 +217,5 @@ def trace(target: TraceTarget = None, *,
                 text = events_to_jsonl(sink.events())
                 f.write(text + "\n" if text else text)
         return
-    streaming = StreamingTraceSink(path, chunk_events=chunk_events,
-                                   meta=meta, compress=compress)
-    try:
+    with StreamingTraceSink(path, meta=meta) as streaming:
         yield streaming
-    finally:
-        streaming.close()

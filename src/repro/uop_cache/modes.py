@@ -76,7 +76,7 @@ class UocController:
                  sink: Optional[TraceSink] = None) -> None:
         self.uoc = uoc
         self.stats = UocModeStats(registry)
-        #: Optional flight recorder for mode-transition events.
+        #: Optional event sink for mode-transition events.
         self.sink = sink
         self.ledger = (ledger if ledger is not None
                        else EnergyLedger(registry=self.stats.registry))

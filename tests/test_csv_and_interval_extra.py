@@ -1,6 +1,6 @@
 """CSV export and extra harness coverage."""
 
-from repro.harness import run_population
+from repro.engine import run_population
 from repro.harness.population import to_csv
 
 #: One column per SliceMetrics field, CPI stack included.

@@ -253,11 +253,7 @@ def test_population_json_roundtrip():
 # ---------------------------------------------------------------------------
 
 def test_run_population_reexported_everywhere():
-    from repro.harness import run_population as harness_rp
-    from repro.harness.population import run_population as pop_rp
     assert repro.run_population is engine.run_population
-    assert harness_rp is engine.run_population
-    assert pop_rp is engine.run_population
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,9 @@
 each reached through every route that must agree — a 2-slice M1-M6
 population (serial, two workers, warmup-resumed), single-run metric
 snapshots (spec, plain ``Trace``, ``warmup=``, checkpoint resume), a
-traced run's event stream (``repro.run(trace_to=True)``, ``pipetrace``
-task), and one population-task fingerprint (a disk-cache key).
+traced run's event stream (``repro.run(trace_to=True)`` in-process and
+in a worker process), and one population-task fingerprint (a disk-cache
+key).
 
 A mismatch prints a cell-level diff.  Regenerate only in a change that
 means to move results, and say so in it:
@@ -14,7 +15,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import multiprocessing
 from collections import Counter
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -25,7 +28,7 @@ from repro.engine import tasks
 from repro.engine.runner import clear_caches, run_population
 from repro.metrics.diff import diff_metric_documents, render_metric_diff
 from repro.metrics.regress import (compare_populations, population_rows,
-                                   render_population_diff)
+                                   render_regress)
 from repro.serialization import population_to_json
 from repro.traces.spec import TraceSpec
 
@@ -92,17 +95,18 @@ def snapshot(label: str, route: str = "spec") -> dict:
         "windows": [w.to_dict() for w in r.windows]}))
 
 
-def _pipetrace_events(spec: TraceSpec, gen: str) -> list:
-    payload = tasks.pipetrace_task(repro.get_generation(gen), spec,
-                                   capacity=None)
-    return tasks.execute_task(payload)["events"]
+def _run_events(spec: TraceSpec, gen: str) -> list:
+    return [e.to_dict() for e in repro.run(spec, gen, trace_to=True).events]
 
 
-EVENT_ROUTES = {
-    "run": lambda spec, gen: [e.to_dict() for e in repro.run(
-        spec, gen, trace_to=True).events],
-    "pipetrace": _pipetrace_events,
-}
+def _worker_events(spec: TraceSpec, gen: str) -> list:
+    with ProcessPoolExecutor(
+            max_workers=1,
+            mp_context=multiprocessing.get_context("spawn")) as pool:
+        return pool.submit(_run_events, spec, gen).result()
+
+
+EVENT_ROUTES = {"run": _run_events, "worker": _worker_events}
 
 
 def event_digest(route: str = "run") -> dict:
@@ -149,8 +153,9 @@ def test_population_archive(route):
         rows_g = population_rows(json.loads(got))
         moved = [f"{a['generation']}/{a['trace_name']}"
                  for a, b in zip(rows_w, rows_g) if a != b]
+        report = compare_populations(rows_w, rows_g)
         _fail(f"population archive ({route})",
-              render_population_diff(compare_populations(rows_w, rows_g))
+              render_regress(report, top=len(report["cells"]))
               + f"\n  rows with any changed field: {moved}")
 
 

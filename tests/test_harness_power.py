@@ -12,10 +12,10 @@ from repro.harness import (
     render_table2,
     render_table3,
     render_table4,
-    run_population,
     table2_storage,
     table4_load_latency,
 )
+from repro.engine import run_population
 from repro.power import EnergyLedger
 from repro.traces import cbp5_suite, standard_suite
 

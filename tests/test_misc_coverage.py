@@ -2,11 +2,11 @@
 
 import pytest
 
+from repro.engine import run_population
 from repro.frontend.baselines import measure_conditional_mpki
 from repro.frontend.lhp import LocalHashedPerceptron
 from repro.harness.figures import population_curves, render_curves
 from repro.harness.tables import table1_features
-from repro.harness import run_population
 from repro.traces import Kind, Trace, TraceRecord
 
 

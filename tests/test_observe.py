@@ -1,10 +1,10 @@
-"""Tests for repro.observe: flight recorder, exporters, profiling.
+"""Tests for repro.observe: event capture, exporters, profiling.
 
 The contracts under test (docs/observability.md):
 
 - attaching a sink never changes simulated timing (bit-identity on/off);
-- the event stream is deterministic — byte-identical serially and under
-  worker processes (via the engine's ``pipetrace`` task kind);
+- the event stream is deterministic — byte-identical run to run
+  (serial vs. worker processes: ``tests/test_stream.py``);
 - the Chrome exporter emits valid, schema-complete trace-event JSON;
 - the pipeview renderer is a pure function of the event list;
 - engine self-profiling fills ``EngineStats.phase_breakdown`` and
@@ -17,73 +17,37 @@ import json
 
 import pytest
 
+import repro
 from repro.config import get_generation
 from repro.core import GenerationSimulator
-from repro.engine import PopulationEngine, execute_population, pipetrace_task
+from repro.engine import execute_population
 from repro.metrics import WINDOW_COUNTERS
 from repro.observe import (BranchEvent, InstEvent, MemEvent, PrefetchEvent,
                            STALL_BUCKETS, TraceSink, UocModeEvent,
                            chrome_trace, chrome_trace_json, describe_profile,
                            event_from_dict, events_from_jsonl,
-                           events_to_jsonl, kind_hit_rates, maybe_sink,
+                           events_to_jsonl, kind_hit_rates,
                            render_event_log, render_pipeview, slowest_tasks,
                            TaskTiming)
-from repro.traces.spec import TraceSpec
 from repro.traces.workloads import make_trace
 
 
-def _traced_run(gen="M5", family="specint_like", seed=3, n=6000,
-                capacity=500_000):
-    sink = TraceSink(capacity=capacity)
-    sim = GenerationSimulator(get_generation(gen), trace_sink=sink)
-    result = sim.run(make_trace(family, seed=seed, n_instructions=n),
-                     window_interval=0)
-    return result, sink
+def _traced_run(gen="M5", family="specint_like", seed=3, n=6000):
+    return repro.run(make_trace(family, seed=seed, n_instructions=n), gen,
+                     trace_to=True)
 
 
 # ---------------------------------------------------------------------------
-# TraceSink ring buffer
+# TraceSink
 # ---------------------------------------------------------------------------
 
 def test_sink_assigns_monotonic_seq_and_keeps_order():
-    sink = TraceSink(capacity=10)
+    sink = TraceSink()
     for cycle in range(5):
         sink.emit(InstEvent(seq=-1, cycle=float(cycle), index=cycle))
     events = sink.events()
     assert [e.seq for e in events] == [0, 1, 2, 3, 4]
-    assert sink.emitted == 5
-    assert sink.dropped == 0
-
-
-def test_sink_bounded_overwrites_oldest():
-    sink = TraceSink(capacity=4)
-    for i in range(10):
-        sink.emit(InstEvent(seq=-1, cycle=float(i), index=i))
-    events = sink.events()
-    assert len(events) == 4
-    assert [e.index for e in events] == [6, 7, 8, 9]  # oldest dropped
-    assert sink.emitted == 10
-    assert sink.dropped == 6
-
-
-def test_sink_clear_resets():
-    sink = TraceSink(capacity=4)
-    sink.emit(InstEvent(seq=-1, cycle=0.0))
-    sink.clear()
-    assert sink.events() == []
-    assert sink.emitted == 0
-
-
-def test_maybe_sink():
-    assert maybe_sink(False) is None
-    sink = maybe_sink(True, capacity=7)
-    assert isinstance(sink, TraceSink)
-    assert sink.capacity == 7
-
-
-def test_sink_rejects_bad_capacity():
-    with pytest.raises(ValueError):
-        TraceSink(capacity=0)
+    assert sink.emitted == len(sink) == 5
 
 
 # ---------------------------------------------------------------------------
@@ -94,7 +58,7 @@ def test_sink_rejects_bad_capacity():
 def test_sink_attached_timing_bit_identical(gen):
     trace = make_trace("specint_like", seed=3, n_instructions=5000)
     plain = GenerationSimulator(get_generation(gen)).run(trace)
-    traced, _sink = _traced_run(gen=gen, n=5000)
+    traced = _traced_run(gen=gen, n=5000)
     assert repr(plain.core.cycles) == repr(traced.core.cycles)
     assert repr(plain.ipc) == repr(traced.ipc)
     assert repr(plain.mpki) == repr(traced.mpki)
@@ -113,10 +77,9 @@ def test_untraced_result_has_no_events():
 # ---------------------------------------------------------------------------
 
 def test_traced_run_emits_every_family():
-    result, sink = _traced_run()
+    result = _traced_run()
     kinds = {e.EVENT for e in result.events}
     assert {"inst", "branch", "mem", "prefetch"} <= kinds
-    assert sink.dropped == 0
     insts = [e for e in result.events if isinstance(e, InstEvent)]
     assert len(insts) == 6000  # one per retired micro-op
     assert all(e.stall in STALL_BUCKETS for e in insts)
@@ -132,7 +95,7 @@ def test_traced_run_emits_every_family():
 
 
 def test_uoc_mode_transitions_recorded_on_uoc_generation():
-    result, _ = _traced_run(gen="M6", family="loop_kernel", seed=2)
+    result = _traced_run(gen="M6", family="loop_kernel", seed=2)
     modes = [e for e in result.events if isinstance(e, UocModeEvent)]
     assert modes, "loop kernel on M6 must exercise the UOC mode machine"
     assert {m.to_mode for m in modes} <= {"filter", "build", "fetch"}
@@ -141,7 +104,7 @@ def test_uoc_mode_transitions_recorded_on_uoc_generation():
 
 
 def test_stall_buckets_cover_mispredicts_and_memory():
-    result, _ = _traced_run(family="pointer_chase", seed=5)
+    result = _traced_run(family="pointer_chase", seed=5)
     insts = [e for e in result.events if isinstance(e, InstEvent)]
     buckets = {e.stall for e in insts}
     assert "memory" in buckets
@@ -153,7 +116,7 @@ def test_stall_buckets_cover_mispredicts_and_memory():
 # ---------------------------------------------------------------------------
 
 def test_jsonl_round_trip():
-    result, _ = _traced_run(n=2000)
+    result = _traced_run(n=2000)
     text = events_to_jsonl(result.events)
     back = events_from_jsonl(text)
     assert back == result.events
@@ -166,26 +129,9 @@ def test_event_from_dict_rejects_unknown_kind():
 
 
 def test_same_seed_event_stream_is_byte_identical():
-    a, _ = _traced_run(n=3000)
-    b, _ = _traced_run(n=3000)
+    a = _traced_run(n=3000)
+    b = _traced_run(n=3000)
     assert events_to_jsonl(a.events) == events_to_jsonl(b.events)
-
-
-def test_event_stream_serial_vs_workers_byte_identical():
-    payloads = [
-        pipetrace_task(get_generation(gen),
-                       TraceSpec("loop_kernel", 3, 3000))
-        for gen in ("M1", "M4", "M6")
-    ]
-    serial, _ = PopulationEngine(workers=1, cache="off").run_payloads(
-        payloads)
-    parallel, _ = PopulationEngine(workers=2, cache="off").run_payloads(
-        payloads)
-    assert json.dumps(serial, sort_keys=True) == \
-        json.dumps(parallel, sort_keys=True)
-    # And the streams rebuild into typed events.
-    events = [event_from_dict(d) for d in serial[0]["events"]]
-    assert events and events[0].seq == 0
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +139,7 @@ def test_event_stream_serial_vs_workers_byte_identical():
 # ---------------------------------------------------------------------------
 
 def test_chrome_trace_is_valid_schema_complete_json():
-    result, _ = _traced_run(n=2000)
+    result = _traced_run(n=2000)
     text = chrome_trace_json(result.events)
     doc = json.loads(text)  # must parse
     assert set(doc) == {"traceEvents", "displayTimeUnit", "otherData"}
@@ -216,7 +162,7 @@ def test_chrome_trace_is_valid_schema_complete_json():
 
 
 def test_chrome_trace_deterministic():
-    result, _ = _traced_run(n=2000)
+    result = _traced_run(n=2000)
     assert chrome_trace_json(result.events) == \
         chrome_trace_json(result.events)
     doc = chrome_trace(result.events, generation="M5",
@@ -229,7 +175,7 @@ def test_chrome_trace_deterministic():
 # ---------------------------------------------------------------------------
 
 def test_pipeview_renders_selected_window():
-    result, _ = _traced_run(n=2000)
+    result = _traced_run(n=2000)
     out = render_pipeview(result.events, start=100, count=10)
     lines = out.splitlines()
     assert len(lines) == 12  # header + column row + 10 instructions
@@ -247,7 +193,7 @@ def test_pipeview_empty_window():
 
 
 def test_event_log_renders_all_families():
-    result, _ = _traced_run(n=2000)
+    result = _traced_run(n=2000)
     out = render_event_log(result.events, limit=50)
     assert len(out.splitlines()) == 50
 

@@ -20,8 +20,7 @@ from repro.engine import execute_population
 from repro.metrics.regress import (REGRESS_SCHEMA_VERSION,
                                    REGRESSION_METRICS, compare_populations,
                                    permutation_pvalue, population_rows,
-                                   regress_exit_code,
-                                   render_population_diff, render_regress,
+                                   regress_exit_code, render_regress,
                                    window_delta_pvalue)
 from repro.serialization import population_to_dict
 
@@ -261,13 +260,6 @@ def test_render_regress_mentions_verdict_and_filter():
     assert "regress: ok" in ok
 
 
-def test_render_population_diff_lists_cells():
-    base = [make_row(trace="t-1"), make_row(trace="t-2")]
-    cur = [shifted(base[0], 0.9, 1.15), base[1]]
-    text = render_population_diff(compare_populations(base, cur), top=3)
-    assert "population diff" in text and "t-1" in text
-
-
 def _write_archives(tmp_path):
     pop, _ = execute_population(n_slices=2, slice_length=1500, seed=5,
                                 generations=("M1", "M5"), cache="off",
@@ -337,24 +329,17 @@ def test_regress_cli_ledger_baseline(tmp_path, capsys):
 
 
 def test_metrics_diff_population_archives(tmp_path, capsys):
+    """Population archives belong to `repro regress`: metrics --diff
+    refuses them (alone or mixed with a single-run dump) with exit 2."""
     from repro.cli.registry import main
 
-    base, doctored = _write_archives(tmp_path)
-    assert main(["metrics", "--diff", str(base), str(doctored),
-                 "--top", "3"]) == 0
-    out = capsys.readouterr().out
-    assert "population diff" in out and "REGRESSED" in out
-
-    assert main(["metrics", "--diff", str(base), str(doctored),
-                 "--json"]) == 0
-    report = json.loads(capsys.readouterr().out)
-    assert report["schema"] == REGRESS_SCHEMA_VERSION
-    assert report["summary"]["regressions"] == 1
-
-    # Mixing an archive with a single-run dump is a usage error.
+    archive = tmp_path / "archive.json"
+    archive.write_text(json.dumps({"metrics": [make_row()]}))
     single = tmp_path / "single.json"
     single.write_text(json.dumps({"metrics": {"ipc": 1.0}}))
-    assert main(["metrics", "--diff", str(base), str(single)]) == 2
+    for pair in ((archive, archive), (archive, single), (single, archive)):
+        assert main(["metrics", "--diff", *map(str, pair)]) == 2
+        assert "repro regress" in capsys.readouterr().out
 
 
 def test_every_regression_metric_has_a_direction():

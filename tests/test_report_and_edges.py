@@ -7,7 +7,8 @@ from repro.config import get_generation
 from repro.frontend.mrb import MispredictRecoveryBuffer
 from repro.frontend.vpc import VPCPredictor
 from repro.frontend.shp import ScaledHashedPerceptron
-from repro.harness import build_report, run_population
+from repro.engine import run_population
+from repro.harness import build_report
 from repro.memory.cache import SetAssocCache
 from repro.power import EnergyLedger
 from repro.traces.generator import ProgramWalker

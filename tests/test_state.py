@@ -6,7 +6,7 @@ The contracts under test (docs/checkpoint.md):
   ``save_state`` -> JSON -> ``restore`` round trip exactly;
 - a run interrupted at an arbitrary instruction and resumed in a fresh
   simulator is *bit-identical* to an uninterrupted run — stats, window
-  series, and the flight-recorder event stream;
+  series, and the traced event stream;
 - one checkpoint document can be restored any number of times (the
   engine's warmup memo hands the same document to many restores);
 - ``repro.run(..., warmup=N)`` and ``run_population(..., warmup=N)``
@@ -84,16 +84,16 @@ def test_restore_rejects_mismatched_simulator():
 def test_interrupted_run_is_bit_identical(gen):
     trace = _trace(family="loop_kernel", seed=11, n=6000)
 
-    sink_full = TraceSink(capacity=None)
+    sink_full = TraceSink()
     full = GenerationSimulator(gen, trace_sink=sink_full).run(trace)
 
-    sink_a = TraceSink(capacity=None)
+    sink_a = TraceSink()
     first = GenerationSimulator(gen, trace_sink=sink_a)
     first.run(trace.slice(0, 2200), finalize=False)
     prefix_events = sink_a.events()
     doc = _json_roundtrip(first.save_state())
 
-    sink_b = TraceSink(capacity=None)
+    sink_b = TraceSink()
     resumed = GenerationSimulator(gen, trace_sink=sink_b)
     resumed.restore(doc)
     result = resumed.run(trace.slice(2200))

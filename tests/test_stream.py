@@ -3,30 +3,30 @@
 The contracts under test (docs/observability.md):
 
 - chunks hold exactly ``chunk_events`` events and the manifest's event
-  counts / byte offsets agree with the files on disk;
-- a trace much longer than the flight-recorder ring round-trips
-  losslessly through a stream (manifest count == emitted, 0 dropped);
-- for a fixed seed the on-disk chunk bytes are identical whether the
-  events were produced serially or inside worker processes;
-- :func:`repro.observe.trace` and ``repro.run(..., trace_to=...)`` are
-  the public capture API over every target flavor.
+  counts agree with the files on disk;
+- a traced run round-trips losslessly through a stream (manifest count
+  == emitted, read back in order from seq 0);
+- for a fixed seed the event stream, and the chunk bytes written from
+  it, are identical whether the run happened in-process or inside a
+  worker process;
+- ``repro.run(..., trace_to=...)`` captures over every target flavor.
 """
 
 from __future__ import annotations
 
 import json
-import os
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
 import repro
 from repro.config import get_generation
 from repro.core import GenerationSimulator
-from repro.engine import PopulationEngine, pipetrace_task
 from repro.observe import (InstEvent, MANIFEST_NAME, STREAM_SCHEMA_VERSION,
-                           StreamingTraceSink, TraceSink, events_to_jsonl,
-                           iter_stream_events, load_events, read_manifest,
-                           read_stream_events, stream_event_dicts, trace)
+                           StreamingTraceSink, TraceSink, events_from_jsonl,
+                           events_to_jsonl, load_events, read_manifest,
+                           trace)
 from repro.traces.spec import TraceSpec
 from repro.traces.workloads import make_trace
 
@@ -49,60 +49,22 @@ def test_chunk_rollover_and_manifest_integrity(tmp_path):
     files = sorted(p.name for p in d.iterdir())
     assert files == [MANIFEST_NAME, "trace-000001.jsonl",
                      "trace-000002.jsonl", "trace-000003.jsonl"]
-    assert manifest["schema"] == STREAM_SCHEMA_VERSION
-    assert manifest["events"] == sink.emitted == 20
-    assert manifest["dropped"] == 0
-    assert manifest["meta"] == {"gen": "M6"}
-    assert [c["events"] for c in manifest["chunks"]] == [8, 8, 4]
-    assert [c["first_seq"] for c in manifest["chunks"]] == [0, 8, 16]
-    assert [c["last_seq"] for c in manifest["chunks"]] == [7, 15, 19]
-    # Byte accounting: offsets are contiguous and sizes match the files.
-    offset = 0
-    for c in manifest["chunks"]:
-        assert c["offset"] == offset
-        assert (d / c["file"]).stat().st_size == c["bytes"]
-        offset += c["bytes"]
-    assert manifest["bytes"] == offset
+    assert manifest == {
+        "schema": STREAM_SCHEMA_VERSION,
+        "chunk_events": 8,
+        "events": 20,
+        "chunks": [{"file": f"trace-00000{i}.jsonl", "events": n}
+                   for i, n in ((1, 8), (2, 8), (3, 4))],
+        "meta": {"gen": "M6"},
+    }
     # The on-disk manifest is the same document.
     assert read_manifest(d) == manifest
-    # Read-back preserves order and count.
-    events = read_stream_events(d)
+    # Read-back preserves order and count; the chunks concatenate into
+    # one flat event stream.
+    events = load_events(d)
     assert [e.seq for e in events] == list(range(20))
-
-
-def test_compressed_stream_roundtrips_and_is_deterministic(tmp_path):
-    plain_dir, gz_a, gz_b = (tmp_path / n for n in ("plain", "a", "b"))
-    for d, compress in ((plain_dir, False), (gz_a, True), (gz_b, True)):
-        sink = StreamingTraceSink(d, chunk_events=8, compress=compress)
-        _emit_n(sink, 20)
-        sink.close()
-
-    manifest = read_manifest(gz_a)
-    assert manifest["codec"] == "gzip"
-    assert read_manifest(plain_dir)["codec"] == "jsonl"
-    files = sorted(p.name for p in gz_a.iterdir())
-    assert files == [MANIFEST_NAME, "trace-000001.jsonl.gz",
-                     "trace-000002.jsonl.gz", "trace-000003.jsonl.gz"]
-    # Byte accounting covers the compressed sizes.
-    for c in manifest["chunks"]:
-        assert (gz_a / c["file"]).stat().st_size == c["bytes"]
-    # Readers are codec-transparent: same events either way.
-    assert events_to_jsonl(read_stream_events(gz_a)) == \
-        events_to_jsonl(read_stream_events(plain_dir))
-    # Compressed bytes are deterministic (zeroed gzip mtime).
-    for c in manifest["chunks"]:
-        assert (gz_a / c["file"]).read_bytes() == \
-            (gz_b / c["file"]).read_bytes()
-
-
-def test_compressed_stream_seeks_by_seq(tmp_path):
-    sink = StreamingTraceSink(tmp_path / "s", chunk_events=8,
-                              compress=True)
-    _emit_n(sink, 20)
-    sink.close()
-    assert [e.seq for e in iter_stream_events(tmp_path / "s",
-                                              start_seq=10)] == \
-        list(range(10, 20))
+    flat = "".join((d / c["file"]).read_text() for c in manifest["chunks"])
+    assert flat == events_to_jsonl(events) + "\n"
 
 
 def test_streaming_sink_close_is_idempotent_and_seals(tmp_path):
@@ -119,7 +81,7 @@ def test_streaming_sink_rejects_bad_chunk_size(tmp_path):
         StreamingTraceSink(tmp_path / "s", chunk_events=0)
 
 
-def test_iter_stream_events_detects_chunk_truncation(tmp_path):
+def test_load_events_detects_chunk_truncation(tmp_path):
     d = tmp_path / "s"
     with StreamingTraceSink(d, chunk_events=4) as sink:
         _emit_n(sink, 8)
@@ -127,39 +89,7 @@ def test_iter_stream_events_detects_chunk_truncation(tmp_path):
     lines = chunk.read_text().splitlines()
     chunk.write_text("\n".join(lines[:-1]) + "\n")
     with pytest.raises(ValueError, match="manifest says"):
-        list(iter_stream_events(d))
-
-
-def test_iter_stream_events_seeks_by_seq(tmp_path):
-    d = tmp_path / "s"
-    with StreamingTraceSink(d, chunk_events=8) as sink:
-        _emit_n(sink, 20)  # chunks cover seqs 0-7, 8-15, 16-19
-
-    # Seek into the middle of a chunk: the boundary chunk's prefix is
-    # dropped, everything after streams through.
-    assert [e.seq for e in iter_stream_events(d, start_seq=10)] == \
-        list(range(10, 20))
-    # Chunk-aligned and past-the-end seeks.
-    assert [e.seq for e in iter_stream_events(d, start_seq=16)] == \
-        [16, 17, 18, 19]
-    assert list(iter_stream_events(d, start_seq=20)) == []
-    # start_seq=0 is the default full replay.
-    assert [e.seq for e in iter_stream_events(d)] == list(range(20))
-
-
-def test_seek_skips_whole_chunks_without_opening_them(tmp_path):
-    d = tmp_path / "s"
-    with StreamingTraceSink(d, chunk_events=8) as sink:
-        _emit_n(sink, 20)
-    # Destroy the first two chunk files: a manifest-driven seek past
-    # them must still succeed, proving the reader never opened them.
-    (d / "trace-000001.jsonl").unlink()
-    (d / "trace-000002.jsonl").write_text("not json\n")
-    assert [e.seq for e in iter_stream_events(d, start_seq=16)] == \
-        [16, 17, 18, 19]
-    # A full replay does need chunk 1, and fails accordingly.
-    with pytest.raises(OSError):
-        list(iter_stream_events(d))
+        load_events(d)
 
 
 def test_read_manifest_rejects_unknown_schema(tmp_path):
@@ -174,10 +104,10 @@ def test_read_manifest_rejects_unknown_schema(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# Streams outlive the ring: lossless capture past TraceSink capacity
+# A traced run round-trips losslessly through a stream
 # ---------------------------------------------------------------------------
 
-def test_trace_longer_than_ring_roundtrips_losslessly(tmp_path):
+def test_traced_run_roundtrips_losslessly_through_chunks(tmp_path):
     trace_obj = make_trace("specint_like", seed=3, n_instructions=6000)
     config = get_generation("M4")
 
@@ -186,63 +116,60 @@ def test_trace_longer_than_ring_roundtrips_losslessly(tmp_path):
     GenerationSimulator(config, trace_sink=sink).run(
         trace_obj, window_interval=0)
     manifest = sink.close()
+    memory = repro.run(trace_obj, config, trace_to=True).events
 
-    # A ring a tenth of the stream's size would have lost the start...
-    ring = TraceSink(capacity=max(1, sink.emitted // 10))
-    GenerationSimulator(config, trace_sink=ring).run(
-        trace_obj, window_interval=0)
-    assert ring.emitted == sink.emitted
-    assert ring.dropped > 0
-
-    # ...the stream lost nothing: manifest count == emitted, 0 dropped,
-    # and the read-back is the complete in-order sequence from seq 0.
-    assert manifest["events"] == sink.emitted
-    assert manifest["dropped"] == 0
+    # Several chunks, none lost: manifest count == emitted, and the
+    # read-back is the complete in-order sequence from seq 0 — the same
+    # stream the in-memory sink holds.
+    assert len(manifest["chunks"]) > 1
+    assert manifest["events"] == sink.emitted == len(memory)
     assert sum(c["events"] for c in manifest["chunks"]) == sink.emitted
-    events = read_stream_events(stream_dir)
-    assert len(events) == sink.emitted
-    assert events[0].seq == 0
+    events = load_events(stream_dir)
     assert [e.seq for e in events] == list(range(sink.emitted))
+    assert events_to_jsonl(events) == events_to_jsonl(memory)
 
 
-def test_sink_capacity_none_is_unbounded():
-    sink = TraceSink(capacity=None)
+def test_sink_is_unbounded():
+    sink = TraceSink()
     _emit_n(sink, 5000)
-    assert sink.capacity is None
-    assert sink.emitted == 5000
-    assert sink.dropped == 0
+    assert sink.emitted == len(sink) == 5000
     assert [e.seq for e in sink.events()] == list(range(5000))
 
 
 # ---------------------------------------------------------------------------
-# Determinism: serial vs worker-produced streams are byte-identical
+# Determinism: in-process vs worker-produced streams are byte-identical
 # ---------------------------------------------------------------------------
 
-def test_stream_serial_vs_workers_byte_identical(tmp_path):
-    payloads = [
-        pipetrace_task(get_generation(gen),
-                       TraceSpec("loop_kernel", 3, 3000),
-                       capacity=None)
-        for gen in ("M1", "M6")
-    ]
-    serial, _ = PopulationEngine(workers=1, cache="off").run_payloads(
-        payloads)
-    parallel, _ = PopulationEngine(workers=2, cache="off").run_payloads(
-        payloads)
+def _traced_jsonl(spec: TraceSpec, gen: str) -> str:
+    return events_to_jsonl(repro.run(spec, gen, trace_to=True).events)
 
-    def persist(rows, where):
-        for i, row in enumerate(rows):
-            assert row["dropped"] == 0
+
+def test_stream_serial_vs_workers_byte_identical(tmp_path):
+    jobs = [(TraceSpec("loop_kernel", 3, 3000), gen)
+            for gen in ("M1", "M4", "M6")]
+    # Spawned workers start from a fresh import: nothing is inherited.
+    with ProcessPoolExecutor(
+            max_workers=2,
+            mp_context=multiprocessing.get_context("spawn")) as pool:
+        parallel = list(pool.map(_traced_jsonl, *zip(*jobs)))
+    serial = [_traced_jsonl(*job) for job in jobs]
+    assert parallel == serial
+    assert len(set(serial)) == len(jobs)  # the generations do differ
+
+    def persist(texts, where):
+        for i, text in enumerate(texts):
             with StreamingTraceSink(where / str(i),
                                     chunk_events=512) as sink:
-                stream_event_dicts(sink, row["events"])
+                for event in events_from_jsonl(text):
+                    sink.emit(event)
 
     persist(serial, tmp_path / "serial")
     persist(parallel, tmp_path / "parallel")
-    for i in range(len(payloads)):
+    for i in range(len(jobs)):
         a_dir = tmp_path / "serial" / str(i)
         b_dir = tmp_path / "parallel" / str(i)
         a_files = sorted(p.name for p in a_dir.iterdir())
+        assert len(a_files) > 2  # a manifest and several chunks
         assert a_files == sorted(p.name for p in b_dir.iterdir())
         for name in a_files:
             assert (a_dir / name).read_bytes() == \
@@ -256,7 +183,6 @@ def test_stream_serial_vs_workers_byte_identical(tmp_path):
 def test_trace_none_yields_unbounded_memory_sink():
     with trace() as sink:
         assert isinstance(sink, TraceSink)
-        assert sink.capacity is None
 
 
 def test_trace_jsonl_path_writes_flat_file(tmp_path):
@@ -269,7 +195,7 @@ def test_trace_jsonl_path_writes_flat_file(tmp_path):
 
 def test_trace_directory_streams_and_closes(tmp_path):
     d = tmp_path / "stream"
-    with trace(d, chunk_events=2, meta={"k": "v"}) as sink:
+    with trace(d, meta={"k": "v"}) as sink:
         assert isinstance(sink, StreamingTraceSink)
         _emit_n(sink, 5)
     assert sink.closed
@@ -279,15 +205,11 @@ def test_trace_directory_streams_and_closes(tmp_path):
     assert len(load_events(d)) == 5
 
 
-def test_trace_existing_sinks_pass_through(tmp_path):
-    ring = TraceSink(capacity=16)
-    with trace(ring) as sink:
-        assert sink is ring
-    streaming = StreamingTraceSink(tmp_path / "s", chunk_events=4)
-    with trace(streaming) as sink:
-        assert sink is streaming
-        _emit_n(sink, 3)
-    assert streaming.closed  # trace() guarantees the manifest write
+def test_run_trace_to_jsonl_writes_the_captured_stream(tmp_path):
+    path = tmp_path / "out" / "events.jsonl"
+    r = repro.run(("specint_like", 1, 2000), "M6", trace_to=path)
+    assert r.events
+    assert path.read_text() == events_to_jsonl(r.events) + "\n"
 
 
 def test_run_trace_to_directory_persists_stream(tmp_path):
@@ -295,7 +217,6 @@ def test_run_trace_to_directory_persists_stream(tmp_path):
     r = repro.run(("specint_like", 1, 2000), "M6", trace_to=d)
     manifest = read_manifest(d)
     assert manifest["events"] > 0
-    assert manifest["dropped"] == 0
     assert manifest["meta"]["generation"] == "M6"
     assert manifest["meta"]["trace"] == r.trace_name
     events = load_events(d)

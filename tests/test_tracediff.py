@@ -15,20 +15,12 @@ import json
 import pytest
 
 import repro
-from repro.config import get_generation
-from repro.core import GenerationSimulator
-from repro.observe import (DIVERGENCE_CLASSES, StreamingTraceSink,
-                           TraceSink, diff_event_streams, load_events,
-                           render_tracediff)
-from repro.traces.workloads import make_trace
+from repro.observe import (DIVERGENCE_CLASSES, diff_event_streams,
+                           load_events, render_tracediff)
 
 
 def _events(gen, family="specint_like", seed=1, n=6000):
-    sink = TraceSink(capacity=None)
-    sim = GenerationSimulator(get_generation(gen), trace_sink=sink)
-    sim.run(make_trace(family, seed=seed, n_instructions=n),
-            window_interval=0)
-    return sink.events()
+    return repro.run((family, seed, n), gen, trace_to=True).events
 
 
 def test_identical_generations_do_not_diverge():
@@ -92,7 +84,7 @@ def test_persisted_stream_diff_equals_in_memory(tmp_path):
     mem = {}
     for gen in ("M1", "M3"):
         d = tmp_path / gen
-        r = repro.run(("specint_like", 1, 6000), gen, trace_to=d)
+        repro.run(("specint_like", 1, 6000), gen, trace_to=d)
         mem[gen] = _events(gen)
         assert len(load_events(d)) == len(mem[gen])
     disk = diff_event_streams(load_events(tmp_path / "M1"),
