@@ -67,6 +67,26 @@ def test_context_switch_none_is_noop():
     assert unit.shp is shp_before
 
 
+def _geometry(unit):
+    """Every structure's size and wiring: what a flush must not change."""
+    shp, btb, vpc = unit.shp, unit.btb, unit.vpc
+    return {
+        "shp": (shp.n_tables, shp.rows, shp.ghist.bits, shp.phist.bits),
+        "btb": (btb.mbtb.capacity_lines, btb.l2btb.capacity_lines,
+                btb.vbtb_capacity, btb.l2btb_fill_latency,
+                btb.l2btb_fill_bandwidth, btb.has_empty_line_opt),
+        "ubtb": (unit.ubtb.capacity, unit.ubtb.uncond_capacity),
+        "ras": unit.ras.entries,
+        "vpc": (vpc.max_targets, vpc.hybrid_vpc_targets,
+                vpc.vbtb_chain_slots,
+                vpc.hash_table.entries if vpc.hash_table else 0,
+                vpc.shp is shp),
+        "accel": (unit.accel.has_1at, unit.accel.has_zat_zot,
+                  unit.accel.btb is btb),
+        "mrb": unit.mrb.capacity,
+    }
+
+
 def test_context_switch_flush_erases_state():
     unit = BranchUnit(get_generation("M5"))
     t = make_trace("loop_kernel", seed=1, n_instructions=3000)
@@ -76,6 +96,11 @@ def test_context_switch_flush_erases_state():
     assert unit.btb.mbtb_entry_count == 0
     assert unit.ubtb.node_count == 0
     assert not unit.ubtb.locked
+    for gen in ("M1", "M5", "M6"):
+        fresh = BranchUnit(get_generation(gen))
+        flushed = BranchUnit(get_generation(gen))
+        flushed.context_switch("flush")
+        assert _geometry(flushed) == _geometry(fresh), gen
 
 
 def test_context_switch_encrypt_installs_cipher():
