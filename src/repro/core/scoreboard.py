@@ -236,13 +236,16 @@ class Scoreboard:
 
         A plain :class:`Trace` is compiled on entry; the loop walks the
         compiled columns, and branch records reach the branch unit as
-        the compiled trace's ``TraceRecord`` objects.  The instruction
-        counter is published only at window boundaries and at exit,
-        where it is read.  Component methods are looked up per call, so
-        hooks patched onto component instances see every call.
+        the compiled trace's ``TraceRecord`` objects, its SHP bound to
+        the trace's history rows.  The instruction counter is published
+        only at window boundaries and at exit, where it is read.
+        Component methods are looked up per call, so hooks patched onto
+        component instances see every call.
         """
         if not isinstance(trace, CompiledTrace):
             trace = compile_trace(trace)
+        if self.branch_unit is not None:
+            self.branch_unit.shp.bind(trace)
         cfg = self.config
         stats = self.stats
         c_instr = stats.cell("instructions")

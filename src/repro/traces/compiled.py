@@ -24,6 +24,14 @@ unit consumes rich records — via a sparse ``branch_records()`` list
 (original objects when compiled in-process, lazily reconstructed with
 identical field values after a disk load).
 
+``derived`` is a per-trace cache for values other layers compute from
+the columns alone and share across every run of the trace — today the
+SHP's branch stream, history rows and index rows (see
+:meth:`repro.frontend.shp.ScaledHashedPerceptron.bind`).  Entries are
+built lazily by their first user, never inside :func:`compile_trace`,
+and are never serialized; a :meth:`CompiledTrace.slice` starts empty.
+The cache lives and dies with its trace.
+
 The on-disk format (see :func:`dump_bytes`) is a 4-byte magic, one
 sorted-keys JSON header line (format version, provenance, column
 layout, byte order, body SHA-256) and the raw little-/native-endian
@@ -90,7 +98,7 @@ class CompiledTrace:
 
     __slots__ = ("name", "family", "seed", "pc", "kind", "taken", "target",
                  "addr", "size", "src1", "src2", "line", "is_branch",
-                 "n_branches", "_branch_records")
+                 "n_branches", "_branch_records", "derived")
 
     def __init__(self, name: str, family: str, seed: Optional[int],
                  columns: Dict[str, List[int]],
@@ -119,6 +127,7 @@ class CompiledTrace:
         self.is_branch = [_IS_BRANCH[k] for k in self.kind]
         self.n_branches = self.is_branch.count(1)
         self._branch_records = branch_records
+        self.derived: Dict[Any, Any] = {}
 
     # -- Trace-compatible surface -------------------------------------------
 
