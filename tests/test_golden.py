@@ -1,12 +1,14 @@
 """Golden results: outputs pinned by the files under ``tests/golden/``,
 each reached through every route that must agree — a 2-slice M1-M6
 population (serial, two workers, warmup-resumed), single-run metric
-snapshots (spec, plain ``Trace``, ``warmup=``, checkpoint resume), a
-traced run's event stream (``repro.run(trace_to=True)`` in-process and
-in a worker process), one population-task fingerprint (a disk-cache
-key), and the front-end-only routes (the Figure 1 sweep on standalone
-SHPs in-process and through the engine, the gshare/bimodal baselines,
-``BranchUnit.run_trace`` and the Section V context-switch policies).
+snapshots (spec, plain ``Trace``, ``warmup=``, checkpoint resume),
+traced runs' event streams (``repro.run(trace_to=True)`` in-process and
+in a worker process; two of them with UOC mode events), one
+population-task fingerprint (a disk-cache key), the front-end-only
+routes (the Figure 1 sweep on standalone SHPs in-process and through
+the engine, the gshare/bimodal baselines, ``BranchUnit.run_trace`` and
+the Section V context-switch policies), and window series of counters
+the front end owns, uninterrupted and resumed from a checkpoint.
 
 A mismatch prints a cell-level diff.  Regenerate only in a change that
 means to move results, and say so in it:
@@ -55,6 +57,13 @@ SNAPSHOTS = {
     "stream_like:13:4000@M6": (STREAM, "M6", ("spec", "checkpoint")),
 }
 EVENTS = ("specint_like:2:1500@M4", TraceSpec("specint_like", 2, 1500), "M4")
+#: Streams with ``uoc_mode`` events, which pin where each one sits
+#: relative to the branch events around it: label -> (spec, generation).
+UOC_EVENTS = {
+    "loop_kernel:1:3000@M6": (TraceSpec("loop_kernel", 1, 3000), "M6"),
+    "specint_like:2:1500@M5": (TraceSpec("specint_like", 2, 1500), "M5"),
+}
+STREAMS = {EVENTS[0]: EVENTS[1:], **UOC_EVENTS}
 FINGERPRINT = ("population:M3:specint_like:4:2000",
                TraceSpec("specint_like", 4, 2000), "M3")
 #: Front-end-only routes (``routes.json``).  The Figure 1 points span
@@ -69,6 +78,14 @@ RUN_TRACE = ("run_trace:specint_like:11:4000",
 #: (label, generation, rounds, slice length).
 CONTEXT_SWITCH = ("context_switch:specint_like:100+200@M5", "M5", 2, 1500)
 CONTEXT_MODES = ("none", "encrypt", "flush")
+#: Window series of counters the front end owns (no default window
+#: counter is one): (label, spec, interval, counters, generations, the
+#: instruction a resumed run is cut at).
+FRONTEND_WINDOWS = (
+    "windows:specint_like:4:5000/700", TraceSpec("specint_like", 4, 5000),
+    700, ("core.instructions", "frontend.mispredicts",
+          "frontend.bubbles.total", "uoc.fetch_cycles", "uoc.build_cycles",
+          "energy.shp_lookup"), ("M1", "M5", "M6"), 1234)
 
 
 def fresh() -> None:
@@ -89,13 +106,13 @@ def population_archive(workers: int = 1, warmup: int = 0) -> str:
         warmup=warmup, cache="off"), indent=1) + "\n"
 
 
-def _resumed(spec: TraceSpec, gen: str):
+def _resumed(spec: TraceSpec, gen: str, cut: int = 1700, **kwargs):
     trace = spec.build()
     first = GenerationSimulator(gen)
-    first.run(trace.slice(0, 1700), finalize=False)
+    first.run(trace.slice(0, cut), finalize=False, **kwargs)
     sim = GenerationSimulator(gen)
     sim.restore(json.loads(json.dumps(first.save_state())))
-    return sim.run(trace.slice(1700))
+    return sim.run(trace.slice(cut), **kwargs)
 
 
 SNAPSHOT_ROUTES = {
@@ -131,10 +148,10 @@ def _worker_events(spec: TraceSpec, gen: str) -> list:
 EVENT_ROUTES = {"run": _run_events, "worker": _worker_events}
 
 
-def event_digest(route: str = "run") -> dict:
+def event_digest(route: str = "run", label: str = EVENTS[0]) -> dict:
     """SHA-256 of the canonical JSONL event stream, plus per-type counts."""
     fresh()
-    events = EVENT_ROUTES[route](*EVENTS[1:])
+    events = EVENT_ROUTES[route](*STREAMS[label])
     text = "\n".join(json.dumps(e, sort_keys=True) for e in events)
     return {"sha256": hashlib.sha256(text.encode()).hexdigest(),
             "events": len(events),
@@ -217,6 +234,19 @@ def context_switch_stats(mode: str, route: str = "records") -> dict:
     return _frontend_stats(unit)
 
 
+def frontend_windows(gen: str, route: str = "run") -> list:
+    """The window series of ``FRONTEND_WINDOWS``, from one uninterrupted
+    run or resumed from a checkpoint taken mid-window."""
+    _, spec, interval, counters, _, cut = FRONTEND_WINDOWS
+    fresh()
+    kwargs = {"window_interval": interval, "window_counters": counters}
+    if route == "run":
+        r = GenerationSimulator(gen).run(spec.build(), **kwargs)
+    else:
+        r = _resumed(spec, gen, cut, **kwargs)
+    return json.loads(dump([w.to_dict() for w in r.windows]))
+
+
 def routes() -> dict:
     return {
         FIG1[0]: fig1_sweep(),
@@ -224,6 +254,8 @@ def routes() -> dict:
         RUN_TRACE[0]: {gen: run_trace_stats(gen) for gen in RUN_TRACE[2]},
         CONTEXT_SWITCH[0]: {mode: context_switch_stats(mode)
                             for mode in CONTEXT_MODES},
+        FRONTEND_WINDOWS[0]: {gen: frontend_windows(gen)
+                              for gen in FRONTEND_WINDOWS[4]},
     }
 
 
@@ -233,7 +265,8 @@ def golden_documents() -> dict:
         "population.json": population_archive(),
         "snapshots.json": dump({label: snapshot(label)
                                 for label in SNAPSHOTS}),
-        "events.json": dump({EVENTS[0]: event_digest()}),
+        "events.json": dump({label: event_digest(label=label)
+                             for label in STREAMS}),
         "fingerprints.json": dump(fingerprints()),
         "routes.json": dump(routes()),
     }
@@ -292,6 +325,13 @@ def test_event_stream(route):
         _fail(f"event stream {EVENTS[0]} ({route})", "\n".join(rows))
 
 
+@pytest.mark.parametrize("label", sorted(UOC_EVENTS))
+def test_uoc_event_stream(label):
+    want = json.loads((GOLDEN_DIR / "events.json").read_text())[label]
+    _check_values(f"event stream {label}", want,
+                  event_digest(label=label))
+
+
 def test_task_fingerprint():
     want = json.loads((GOLDEN_DIR / "fingerprints.json").read_text())
     if fingerprints() != want:
@@ -325,6 +365,19 @@ def test_conditional_baselines():
 def test_branch_unit_run_trace(gen):
     _check_values(f"{RUN_TRACE[0]}@{gen}", _routes(RUN_TRACE[0])[gen],
                   run_trace_stats(gen))
+
+
+@pytest.mark.parametrize("gen,route", [
+    (gen, route) for gen in FRONTEND_WINDOWS[4]
+    for route in ("run", "resumed")])
+def test_frontend_windows(gen, route):
+    want = _routes(FRONTEND_WINDOWS[0])[gen]
+    got = frontend_windows(gen, route)
+    if got != want:
+        moved = [i for i, (a, b) in enumerate(zip(want, got)) if a != b]
+        _fail(f"{FRONTEND_WINDOWS[0]}@{gen} ({route})",
+              f"windows: {len(want)} golden, {len(got)} now; "
+              f"changed: {moved}")
 
 
 @pytest.mark.parametrize("mode,route", [
