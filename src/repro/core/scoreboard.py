@@ -18,6 +18,10 @@ cycles").  Front-end supply embeds the branch unit's per-branch bubbles
 and the two-predictions-per-cycle rule for a leading not-taken branch
 (Section IV-A).
 
+The front end never reads simulated time, so it runs as its own pass
+(:meth:`~repro.frontend.predictor.BranchUnit.resolve`), one metrics
+window ahead: the loop reads its mispredict and bubble columns.
+
 Stats live in the shared metric registry (``core.*``); ``CoreStats`` is
 the attribute-style view over those cells, and the inner loop bumps the
 cells through local aliases so the registry adds no per-instruction
@@ -36,8 +40,8 @@ from ..frontend.predictor import BranchUnit
 from ..memory.hierarchy import MemoryHierarchy
 from ..metrics import formulas
 from ..metrics.registry import MetricRegistry, StatsView
-from ..observe.events import InstEvent
-from ..observe.sink import TraceSink
+from ..observe.events import BranchEvent, InstEvent
+from ..observe.sink import HeldEvents, TraceSink
 from ..traces.compiled import CompiledTrace, compile_trace
 from ..traces.types import Kind, Trace, TraceRecord
 
@@ -146,20 +150,21 @@ class Scoreboard:
                  icache=None,
                  registry: Optional[MetricRegistry] = None,
                  sink: Optional[TraceSink] = None,
-                 on_branch: Optional[Callable[["TraceRecord", int],
+                 held: Optional[HeldEvents] = None,
+                 on_branch: Optional[Callable[[TraceRecord, int],
                                               None]] = None) -> None:
         self.config = config
         self.branch_unit = branch_unit
         self.memory = memory
-        #: Optional per-branch hook ``(record, absolute_index)`` invoked
-        #: after the branch unit processed the record — the simulator
-        #: drives the UOC mode machine through it, in stream order, so a
-        #: checkpointed run feeds the UOC identically to an uninterrupted
-        #: one.
+        #: Optional per-block hook ``(record, absolute_index)`` the
+        #: front-end pass calls after each branch, in stream order — the
+        #: simulator's UOC mode machine or legacy fetch/decode energy.
         self.on_branch = on_branch
         #: Optional event sink; ``None`` (the default) disables
         #: tracing at the cost of one branch per instruction.
         self.sink = sink
+        #: The front end's events, held for the loop to forward to ``sink``.
+        self.held = held
         #: Optional InstructionCache; fetch-group line crossings that miss
         #: stall the front end.
         self.icache = icache
@@ -234,18 +239,14 @@ class Scoreboard:
             window_interval: int = 0) -> CoreStats:
         """Simulate ``trace`` from where the previous segment stopped.
 
-        A plain :class:`Trace` is compiled on entry; the loop walks the
-        compiled columns, and branch records reach the branch unit as
-        the compiled trace's ``TraceRecord`` objects, its SHP bound to
-        the trace's history rows.  The instruction counter is published
-        only at window boundaries and at exit, where it is read.
-        Component methods are looked up per call, so hooks patched onto
-        component instances see every call.
+        A plain :class:`Trace` is compiled on entry.  The segment runs in
+        chunks that end at window boundaries, the front-end pass first,
+        so every counter a window reads is exact at its boundary.  The
+        instruction counter is published only at window boundaries and
+        at exit, where it is read.
         """
         if not isinstance(trace, CompiledTrace):
             trace = compile_trace(trace)
-        if self.branch_unit is not None:
-            self.branch_unit.shp.bind(trace)
         cfg = self.config
         stats = self.stats
         c_instr = stats.cell("instructions")
@@ -272,7 +273,7 @@ class Scoreboard:
         s2s = trace.src2
         addrs = trace.addr
         brs = trace.is_branch
-        brecs = trace.branch_records()
+        takens = trace.taken
         kload = int(Kind.LOAD)
         kstore = int(Kind.STORE)
         kdiv = int(Kind.DIV)
@@ -286,13 +287,11 @@ class Scoreboard:
         icache = self.icache
         memory = self.memory
         branch_unit = self.branch_unit
-        process_branch = (branch_unit.process_branch
-                          if branch_unit is not None else None)
-        on_branch = self.on_branch
         # Event sink (None = tracing off).  Tracing only *reads*
         # values the loop computed anyway, so attaching a sink never
         # changes simulated timing.
         trc = self.sink
+        held = self.held
 
         # Local aliases of the resumable execution state (list state is
         # shared in place; scalars are written back after the loop).
@@ -319,177 +318,187 @@ class Scoreboard:
         base_index = i
         base_instr = c_instr.value
 
-        for j in range(len(pcs)):
-            k = kinds[j]
-            ic_stall = 0.0
-            branch_result = None
+        n = len(pcs)
+        start = 0
+        while start < n:
+            stop = min(n, start + until_window) if windowing else n
+            if branch_unit is not None:
+                # One mispredict flag and bubble count per branch (b).
+                mispredicts, bubble_counts = branch_unit.resolve(
+                    trace, start, stop, self.on_branch, base_index)
+                b = 0
 
-            # ---- fetch/dispatch supply -----------------------------------
-            if group_count >= fetch_width:
-                fetch_time += 1.0
-                group_count = 0
-                group_branches = 0
-            if icache is not None:
-                line = lines[j]
-                if line != current_fetch_line:
-                    current_fetch_line = line
-                    stall = icache.fetch_line(pcs[j], now=fetch_time)
-                    if stall:
-                        fetch_time += stall
-                        c_ic_stall.value += stall
-                        group_count = 0
-                        group_branches = 0
-                        ic_stall = stall
-            # `fetched` is the fetch supply before ROB backpressure.
-            fetched = dispatch = fetch_time
-            # ROB occupancy: the slot reused now must have retired.
-            oldest = rob[rob_pos]
-            if oldest > dispatch:
-                dispatch = oldest
-                fetch_time = oldest  # front end backs up behind the ROB
-                group_count = 0
-                group_branches = 0
-            group_count += 1
+            for j in range(start, stop):
+                k = kinds[j]
+                ic_stall = 0.0
 
-            # ---- dependences (two source slots, unrolled) ----------------
-            ready = dispatch
-            dist = s1s[j]
-            if 0 < dist <= _DEP_WINDOW and dist <= i:
-                slot = (i - dist) % _DEP_WINDOW
-                t = completions[slot]
-                if cascading and k == kload and is_load_at[slot]:
-                    # Load-load cascading: forwarded one cycle early.
-                    t -= 1.0
-                    c_cascaded.value += 1
-                if t > ready:
-                    ready = t
-            dist = s2s[j]
-            if 0 < dist <= _DEP_WINDOW and dist <= i:
-                slot = (i - dist) % _DEP_WINDOW
-                t = completions[slot]
-                if cascading and k == kload and is_load_at[slot]:
-                    t -= 1.0
-                    c_cascaded.value += 1
-                if t > ready:
-                    ready = t
+                # ---- fetch/dispatch supply -------------------------------
+                if group_count >= fetch_width:
+                    fetch_time += 1.0
+                    group_count = 0
+                    group_branches = 0
+                if icache is not None:
+                    line = lines[j]
+                    if line != current_fetch_line:
+                        current_fetch_line = line
+                        stall = icache.fetch_line(pcs[j], now=fetch_time)
+                        if stall:
+                            fetch_time += stall
+                            c_ic_stall.value += stall
+                            group_count = 0
+                            group_branches = 0
+                            ic_stall = stall
+                # `fetched` is the fetch supply before ROB backpressure.
+                fetched = dispatch = fetch_time
+                # ROB occupancy: the slot reused now must have retired.
+                oldest = rob[rob_pos]
+                if oldest > dispatch:
+                    dispatch = oldest
+                    fetch_time = oldest  # front end backs up behind the ROB
+                    group_count = 0
+                    group_branches = 0
+                group_count += 1
 
-            # ---- issue + execute -----------------------------------------
-            port = port_for[k]
-            if port is None:
-                issue = ready
-                c_zcm.value += 1
-            else:
-                issue = port.issue(ready,
-                                   _LAT_DIV if k == kdiv else 1.0)
-            if k == kload:
-                c_loads.value += 1
-                if memory is not None:
-                    latency = memory.access(pcs[j], addrs[j], now=issue,
-                                            is_store=False)
+                # ---- dependences (two source slots, unrolled) ------------
+                ready = dispatch
+                dist = s1s[j]
+                if 0 < dist <= _DEP_WINDOW and dist <= i:
+                    slot = (i - dist) % _DEP_WINDOW
+                    t = completions[slot]
+                    if cascading and k == kload and is_load_at[slot]:
+                        # Load-load cascading: forwarded one cycle early.
+                        t -= 1.0
+                        c_cascaded.value += 1
+                    if t > ready:
+                        ready = t
+                dist = s2s[j]
+                if 0 < dist <= _DEP_WINDOW and dist <= i:
+                    slot = (i - dist) % _DEP_WINDOW
+                    t = completions[slot]
+                    if cascading and k == kload and is_load_at[slot]:
+                        t -= 1.0
+                        c_cascaded.value += 1
+                    if t > ready:
+                        ready = t
+
+                # ---- issue + execute -------------------------------------
+                port = port_for[k]
+                if port is None:
+                    issue = ready
+                    c_zcm.value += 1
                 else:
-                    latency = l1_hit
-            elif k == kstore:
-                c_stores.value += 1
-                if memory is not None:
-                    memory.access(pcs[j], addrs[j], now=issue,
-                                  is_store=True)
-                latency = 1.0  # store-buffer commit, off the critical path
-            else:
-                latency = lat_for[k]
-            completion = issue + latency
-            slot = i % _DEP_WINDOW
-            completions[slot] = completion
-            is_load_at[slot] = k == kload
+                    issue = port.issue(ready,
+                                       _LAT_DIV if k == kdiv else 1.0)
+                if k == kload:
+                    c_loads.value += 1
+                    if memory is not None:
+                        latency = memory.access(pcs[j], addrs[j], now=issue,
+                                                is_store=False)
+                    else:
+                        latency = l1_hit
+                elif k == kstore:
+                    c_stores.value += 1
+                    if memory is not None:
+                        memory.access(pcs[j], addrs[j], now=issue,
+                                      is_store=True)
+                    latency = 1.0  # store-buffer commit, off the critical path
+                else:
+                    latency = lat_for[k]
+                completion = issue + latency
+                slot = i % _DEP_WINDOW
+                completions[slot] = completion
+                is_load_at[slot] = k == kload
 
-            # ---- retirement bookkeeping ----------------------------------
-            rob[rob_pos] = completion
-            rob_pos = (rob_pos + 1) % rob_size
-            if completion > last_completion:
-                last_completion = completion
+                # ---- retirement bookkeeping ------------------------------
+                rob[rob_pos] = completion
+                rob_pos = (rob_pos + 1) % rob_size
+                if completion > last_completion:
+                    last_completion = completion
 
-            # ---- branch outcome into the front end ------------------------
-            if brs[j]:
-                rec = brecs[j]
-                group_branches += 1
-                if process_branch is not None:
-                    # `completion` only timestamps the branch unit's
-                    # trace events; it never steers a prediction.
-                    result = process_branch(rec, completion)
-                    branch_result = result
-                    if result.mispredicted:
-                        c_mispredicts.value += 1
-                        restart = completion + mp_penalty
-                        c_mp_stall.value += max(0.0, restart - fetch_time)
-                        fetch_time = max(fetch_time, restart)
-                        group_count = 0
-                        group_branches = 0
-                    elif rec.taken:
-                        if result.bubbles:
-                            c_bubbles.value += result.bubbles
-                            fetch_time += result.bubbles
-                        # A taken branch ends the fetch group.
+                # ---- stall attribution (CPI-stack buckets) ---------------
+                # Mirrors the interval model's CPI buckets; priority
+                # mispredict > front end > memory.  Computed every retire
+                # — the counters feed windowed stall buckets with tracing
+                # off, and the same (bucket, stall) pair stamps the
+                # InstEvent, so a trace histogram reconciles with the
+                # counters exactly.
+                bucket = 0  # base
+                stall = 0.0
+                if ic_stall:
+                    bucket = 1  # frontend_bubbles
+                    stall = ic_stall
+                if k == kload:
+                    exposed = latency - l1_hit
+                    if exposed > stall:
+                        bucket = 2  # memory
+                        stall = exposed
+                # ---- branch outcome from the front-end pass --------------
+                elif brs[j]:
+                    group_branches += 1
+                    if branch_unit is not None:
+                        bubbles = bubble_counts[b]
+                        if bubbles > stall:
+                            bucket = 1
+                            stall = float(bubbles)
+                        if mispredicts[b]:
+                            c_mispredicts.value += 1
+                            restart = completion + mp_penalty
+                            c_mp_stall.value += max(0.0, restart - fetch_time)
+                            fetch_time = max(fetch_time, restart)
+                            group_count = 0
+                            group_branches = 0
+                            bucket = 3  # mispredict
+                            stall = mp_penalty_f
+                        elif takens[j]:
+                            if bubbles:
+                                c_bubbles.value += bubbles
+                                fetch_time += bubbles
+                            # A taken branch ends the fetch group.
+                            fetch_time += 1.0
+                            group_count = 0
+                            group_branches = 0
+                        elif group_branches >= 2:
+                            # Two predictions per cycle max; a second
+                            # not-taken branch closes the group
+                            # (Section IV-A's dual-prediction support).
+                            fetch_time += 1.0
+                            group_count = 0
+                            group_branches = 0
+                        b += 1
+                    elif takens[j]:
                         fetch_time += 1.0
                         group_count = 0
                         group_branches = 0
-                    elif group_branches >= 2:
-                        # Two predictions per cycle max; a second
-                        # not-taken branch closes the group
-                        # (Section IV-A's dual-prediction support).
-                        fetch_time += 1.0
-                        group_count = 0
-                        group_branches = 0
-                else:
-                    if rec.taken:
-                        fetch_time += 1.0
-                        group_count = 0
-                        group_branches = 0
-                if on_branch is not None:
-                    on_branch(rec, i)
 
-            # ---- stall attribution (CPI-stack buckets) -------------------
-            # Mirrors the interval model's CPI buckets; priority
-            # mispredict > front end > memory.  Computed every retire —
-            # the counters feed windowed stall buckets with tracing off,
-            # and the same (bucket, stall) pair stamps the InstEvent, so
-            # a trace histogram reconciles with the counters exactly.
-            bucket = 0  # base
-            stall = 0.0
-            if ic_stall:
-                bucket = 1  # frontend_bubbles
-                stall = ic_stall
-            if k == kload:
-                exposed = latency - l1_hit
-                if exposed > stall:
-                    bucket = 2  # memory
-                    stall = exposed
-            if branch_result is not None:
-                if branch_result.mispredicted:
-                    bucket = 3  # mispredict
-                    stall = mp_penalty_f
-                elif branch_result.bubbles > stall:
-                    bucket = 1
-                    stall = float(branch_result.bubbles)
-            if stall:
-                if bucket == 3:
-                    c_st_mp.value += stall
-                elif bucket == 1:
-                    c_st_fe.value += stall
-                else:
-                    c_st_mem.value += stall
+                if stall:
+                    if bucket == 3:
+                        c_st_mp.value += stall
+                    elif bucket == 1:
+                        c_st_fe.value += stall
+                    else:
+                        c_st_mem.value += stall
 
-            # ---- event trace ---------------------------------------------
-            if trc is not None:
-                trc.emit(InstEvent(
-                    seq=-1, cycle=completion, index=i, pc=pcs[j],
-                    kind=_KIND_NAMES[k], fetch=fetched, dispatch=dispatch,
-                    ready=ready, issue=issue, complete=completion,
-                    retire=completion, stall=_BUCKET_NAMES[bucket],
-                    stall_cycles=float(stall)))
+                # ---- event trace -----------------------------------------
+                if trc is not None:
+                    if brs[j] and held:
+                        # The branch's held event takes its resolve
+                        # cycle; the UOC mode events it caused follow.
+                        event = held.popleft()
+                        event.cycle = completion
+                        trc.emit(event)
+                        while held and type(held[0]) is not BranchEvent:
+                            trc.emit(held.popleft())
+                    trc.emit(InstEvent(
+                        seq=-1, cycle=completion, index=i, pc=pcs[j],
+                        kind=_KIND_NAMES[k], fetch=fetched, dispatch=dispatch,
+                        ready=ready, issue=issue, complete=completion,
+                        retire=completion, stall=_BUCKET_NAMES[bucket],
+                        stall_cycles=float(stall)))
 
+                i += 1
             # ---- metrics window boundary ---------------------------------
-            i += 1
             if windowing:
-                until_window -= 1
+                until_window -= stop - start
                 if until_window == 0:
                     until_window = window_interval
                     # Publish the instruction count and a provisional
@@ -499,6 +508,7 @@ class Scoreboard:
                     c_instr.value = base_instr + (i - base_index)
                     c_cycles.value = max(last_completion, fetch_time, 1.0)
                     on_window()
+            start = stop
 
         # Write the scalar execution state back for checkpoint/resume.
         self._rob_pos = rob_pos

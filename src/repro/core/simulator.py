@@ -11,6 +11,10 @@ All components share one :class:`~repro.metrics.MetricRegistry`
 formula — is one ``snapshot()`` away, and ``run()`` can emit per-N-
 instruction :class:`~repro.metrics.WindowSample` series for
 warmup-excludable IPC/MPKI time-series analysis.
+
+The front-end pass calls the simulator's per-block hook after each
+branch: the UOC mode machine, or without a UOC the block's fetch and
+decode energy.  The branch unit and UOC emit into a held-event queue.
 """
 
 from __future__ import annotations
@@ -26,10 +30,10 @@ from ..metrics import (DEFAULT_WINDOW_INSTRUCTIONS, WINDOW_COUNTERS,
                        MetricRegistry, WindowRecorder, WindowSample,
                        window_metric_series)
 from ..observe.events import TraceEvent
-from ..observe.sink import TraceSink
+from ..observe.sink import HeldEvents, TraceSink
 from ..power import EnergyLedger
 from ..traces.types import Trace, TraceRecord
-from ..uop_cache import UocController, UocMode, UopCache
+from ..uop_cache import UocController, UopCache
 from .scoreboard import CoreStats, Scoreboard
 
 
@@ -88,10 +92,11 @@ class GenerationSimulator:
         #: ``repro.run(..., trace_to=...)`` attaches; ``None`` (the
         #: default) keeps all emission sites disabled.
         self.trace_sink = trace_sink
+        held = HeldEvents() if trace_sink is not None else None
         self.ledger = EnergyLedger(registry=self.metrics)
         self.branch_unit = BranchUnit(config, ledger=self.ledger,
                                       registry=self.metrics,
-                                      sink=trace_sink)
+                                      sink=held)
         self.memory = MemoryHierarchy(config, ledger=self.ledger,
                                       corunners=corunners,
                                       registry=self.metrics,
@@ -102,7 +107,7 @@ class GenerationSimulator:
                 UopCache(config.uoc_uops, config.uoc_uops_per_cycle),
                 ledger=self.ledger,
                 registry=self.metrics,
-                sink=trace_sink,
+                sink=held,
             )
         self.icache = InstructionCache(config, self.memory)
         self.scoreboard = Scoreboard(config, branch_unit=self.branch_unit,
@@ -110,21 +115,17 @@ class GenerationSimulator:
                                      icache=self.icache,
                                      registry=self.metrics,
                                      sink=trace_sink,
+                                     held=held,
                                      on_branch=(self._uoc_on_branch
                                                 if self.uoc is not None
-                                                else None))
+                                                else self._charge_block))
         # Resumable run-segmentation state (see ``save_state``): the UOC
-        # block-stream cursor, the one-time legacy base-block energy
-        # charge, and the window recorder shared across run segments.
+        # block-stream cursor, the one-time trailing-block energy charge,
+        # and the window recorder shared across run segments.
         self._uoc_block_pc: Optional[int] = None
         self._uoc_last_branch = -1
         self._legacy_base_charged = False
         self._recorder: Optional[WindowRecorder] = None
-
-    @property
-    def instructions_simulated(self) -> int:
-        """Retired instructions across every ``run`` segment so far."""
-        return self.scoreboard._index
 
     def run(self, trace: Trace, *,
             window_interval: int = DEFAULT_WINDOW_INSTRUCTIONS,
@@ -151,24 +152,18 @@ class GenerationSimulator:
         """
         recorder = self._ensure_recorder(window_interval, window_counters)
         on_window = recorder.take if recorder is not None else None
-        if self.uoc is not None and self._uoc_block_pc is None and len(trace):
-            self._uoc_block_pc = trace[0].pc
+        if self.uoc is not None:
+            if self._uoc_block_pc is None and len(trace):
+                self._uoc_block_pc = trace[0].pc
+        elif not self._legacy_base_charged:
+            # The trailing block (after the last branch) is charged once
+            # per *run*, up front; the pass charges every other block.
+            self._charge_block()
+            self._legacy_base_charged = True
         core = self.scoreboard.run(trace, on_window=on_window,
                                    window_interval=window_interval)
-        if self.uoc is not None:
-            fetch_frac = self.uoc.stats.fetch_fraction
-        else:
-            fetch_frac = 0.0
-            # Legacy front end: every block pays fetch + decode energy.
-            # The trailing block (after the last branch) is charged once
-            # per *run*, not once per segment.
-            blocks = trace.branch_count
-            if not self._legacy_base_charged:
-                blocks += 1
-                self._legacy_base_charged = True
-            if blocks:
-                self.ledger.record("icache_fetch", blocks)
-                self.ledger.record("decode", blocks)
+        fetch_frac = (self.uoc.stats.fetch_fraction
+                      if self.uoc is not None else 0.0)
         windows: List[WindowSample] = []
         if recorder is not None:
             windows = (recorder.finish() if finalize
@@ -205,15 +200,20 @@ class GenerationSimulator:
                 "window configuration changed across run segments")
         return self._recorder
 
+    def _charge_block(self, *_) -> None:
+        """Per-block hook without a UOC: one I-cache fetch and decode."""
+        self.ledger.record("icache_fetch")
+        self.ledger.record("decode")
+
     def _uoc_on_branch(self, rec: TraceRecord, index: int) -> None:
         """Feed the basic block ended by ``rec`` into the UOC mode
         machine.
 
-        Driven from inside the scoreboard loop, right after the branch
-        unit processed the record, so the uBTB's learned predictability
-        for each block reflects exactly the instructions retired before
-        it — the same information order as hardware, and the property
-        that makes a checkpointed run feed the UOC identically to an
+        Driven from the front-end pass, right after the branch unit
+        processed the record, so the uBTB's learned predictability for
+        each block reflects exactly the branches resolved before it —
+        the same information order as hardware, and the property that
+        makes a checkpointed run feed the UOC identically to an
         uninterrupted one.
 
         "Predictable" is instantaneous confidence OR an established

@@ -115,11 +115,6 @@ class PopulationResult:
         vals = self.series(name, attr, sort=False)
         return math.fsum(vals) / len(vals) if vals else 0.0
 
-    def family_mean(self, name: str, family: str, attr: str) -> float:
-        vals = [getattr(m, attr) for m in self.for_generation(name)
-                if m.family == family]
-        return math.fsum(vals) / len(vals) if vals else 0.0
-
     def window_series(self, name: str, attr: str,
                       warmup: int = 0) -> List[float]:
         """Sorted per-window values of ``attr`` across one generation's

@@ -13,7 +13,7 @@ a slower denser macro as part of a latency/area tradeoff" (Table II).
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..traces.types import Kind
@@ -253,10 +253,6 @@ class BTBHierarchy:
     @property
     def mbtb_entry_count(self) -> int:
         return self.mbtb.entry_count
-
-    @property
-    def l2btb_entry_count(self) -> int:
-        return self.l2btb.entry_count
 
     # -- checkpointing (state_dict protocol) --------------------------------
 

@@ -80,8 +80,3 @@ class CoordinatedPolicy:
         line.reallocated = True
         line.hit_count = 0
 
-    @staticmethod
-    def is_mechanism_fill(second_pass_prefetch: bool) -> bool:
-        """Fills that must not count as reuse (Section VIII-A's filter),
-        e.g. the second pass of two-pass prefetching."""
-        return second_pass_prefetch

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import formulas
 from .registry import MetricRegistry, Number
@@ -225,10 +225,3 @@ def window_metric_series(windows: Sequence[WindowSample], attr: str,
     windows are excluded from the front of the series.
     """
     return [float(w.metric(attr)) for w in windows[warmup:]]
-
-
-def make_on_window(recorder: WindowRecorder) -> Callable[[], None]:
-    """Adapt a recorder to the scoreboard's ``on_window`` callback."""
-    def on_window() -> None:
-        recorder.take()
-    return on_window

@@ -12,6 +12,10 @@ The sink keeps every event; traces longer than memory allows go to
 disk through :class:`~repro.observe.stream.StreamingTraceSink` (a
 directory target) instead.
 
+The branch unit and the UOC controller run a window ahead of the timing
+loop, so they emit into :class:`HeldEvents`; the scoreboard forwards
+each event when its loop reaches the event's branch.
+
 Determinism: the sink records only values the simulation already
 computed — cycle stamps, PCs, predictor outcomes — never wall-clock or
 id()-derived data, so for a fixed seed the event stream is byte-
@@ -21,6 +25,7 @@ the simulation ran serially or inside a worker process.
 
 from __future__ import annotations
 
+from collections import deque
 from typing import List
 
 from .events import TraceEvent
@@ -65,3 +70,9 @@ class TraceSink:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"TraceSink(emitted={self.emitted})"
+
+
+class HeldEvents(deque):
+    """Events emitted ahead of the timing loop, oldest first."""
+
+    emit = deque.append

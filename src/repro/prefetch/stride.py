@@ -19,7 +19,7 @@ frontier, issue logic skips ahead.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, List, Optional, Sequence, Tuple
+from typing import Deque, List, Optional, Tuple
 
 from .confirmation import ConfirmationQueue, IntegratedConfirmationQueue
 from .degree import DynamicDegree
@@ -206,10 +206,6 @@ class MultiStridePrefetcher:
 
     def _advance(self, stream: StrideStream, addr: int) -> int:
         return stream._advance_from(addr)
-
-    @property
-    def any_stream_locked(self) -> bool:
-        return any(s.locked for s in self.streams)
 
     # -- checkpointing (state_dict protocol) --------------------------------
 

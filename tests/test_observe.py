@@ -295,15 +295,25 @@ def test_window_counters_knob_selects_counters():
     assert all(set(w.values) == set(WINDOW_COUNTERS) for w in r2.windows)
 
 
-def test_window_counters_never_perturb_timing():
-    trace = make_trace("loop_kernel", seed=7, n_instructions=4000)
-    base = GenerationSimulator(get_generation("M4")).run(trace)
-    custom = GenerationSimulator(get_generation("M4")).run(
-        trace, window_interval=500,
-        window_counters=("core.instructions", "core.cycles",
-                         "mem.dram.accesses"))
+@pytest.mark.parametrize("gen,interval", [
+    (gen, interval) for gen in ("M1", "M5", "M6") for interval in (1, 7, 500)])
+def test_window_counters_never_perturb_timing(gen, interval):
+    # Every window boundary ends a front-end pass (at interval 1 the
+    # pass runs once per instruction); the windows also read counters
+    # the front end owns.
+    config = get_generation(gen)
+    trace = make_trace("web_like", seed=3, n_instructions=3000)
+    counters = WINDOW_COUNTERS + ("frontend.mispredicts",
+                                  "frontend.bubbles.total",
+                                  "energy.shp_lookup", "energy.icache_fetch")
+    if config.uoc_uops:
+        counters += ("uoc.fetch_cycles", "uoc.build_cycles")
+    base = GenerationSimulator(config).run(trace, window_interval=0)
+    custom = GenerationSimulator(config).run(
+        trace, window_interval=interval, window_counters=counters)
     assert repr(base.core.cycles) == repr(custom.core.cycles)
-    assert repr(base.ipc) == repr(custom.ipc)
+    assert base.metrics.as_dict() == custom.metrics.as_dict()
+    assert len(custom.windows) == -(-len(trace) // interval)
 
 
 def test_window_counters_split_population_memo():

@@ -24,6 +24,7 @@ from repro.config import GENERATION_ORDER
 from repro.core import GenerationSimulator
 from repro.engine import execute_population
 from repro.engine.runner import clear_caches
+from repro.metrics import WINDOW_COUNTERS
 from repro.observe.events import events_to_jsonl
 from repro.observe.sink import TraceSink
 from repro.state import (CHECKPOINT_SCHEMA_VERSION, checkpoint_to_json,
@@ -80,23 +81,34 @@ def test_restore_rejects_mismatched_simulator():
 # Interrupted == uninterrupted, bit for bit
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("gen", ["M3", "M6"])
-def test_interrupted_run_is_bit_identical(gen):
+#: Window counters with the energy the legacy front end (M1-M4)
+#: charges per fetched block.
+ENERGY_WINDOW_COUNTERS = WINDOW_COUNTERS + ("energy.icache_fetch",
+                                            "energy.decode")
+
+
+@pytest.mark.parametrize("gen,counters", [
+    pytest.param(gen, counters, id=gen + suffix)
+    for suffix, counters in (("", None), ("-energy", ENERGY_WINDOW_COUNTERS))
+    for gen in ("M3", "M6")])
+def test_interrupted_run_is_bit_identical(gen, counters):
     trace = _trace(family="loop_kernel", seed=11, n=6000)
+    windows = {"window_counters": counters}
 
     sink_full = TraceSink()
-    full = GenerationSimulator(gen, trace_sink=sink_full).run(trace)
+    full = GenerationSimulator(gen, trace_sink=sink_full).run(trace,
+                                                              **windows)
 
     sink_a = TraceSink()
     first = GenerationSimulator(gen, trace_sink=sink_a)
-    first.run(trace.slice(0, 2200), finalize=False)
+    first.run(trace.slice(0, 2200), finalize=False, **windows)
     prefix_events = sink_a.events()
     doc = _json_roundtrip(first.save_state())
 
     sink_b = TraceSink()
     resumed = GenerationSimulator(gen, trace_sink=sink_b)
     resumed.restore(doc)
-    result = resumed.run(trace.slice(2200))
+    result = resumed.run(trace.slice(2200), **windows)
 
     assert result.core.cycles == full.core.cycles
     assert result.metrics.as_dict() == full.metrics.as_dict()
