@@ -7,8 +7,10 @@ in a worker process; two of them with UOC mode events), one
 population-task fingerprint (a disk-cache key), the front-end-only
 routes (the Figure 1 sweep on standalone SHPs in-process and through
 the engine, the gshare/bimodal baselines, ``BranchUnit.run_trace`` and
-the Section V context-switch policies), and window series of counters
-the front end owns, uninterrupted and resumed from a checkpoint.
+the Section V context-switch policies), window series of counters the
+front end owns, uninterrupted and resumed from a checkpoint, and
+shared-L2 contention (``corunners``) on the memory hierarchy alone and
+in full runs, plain and ``warmup=``.
 
 A mismatch prints a cell-level diff.  Regenerate only in a change that
 means to move results, and say so in it:
@@ -20,6 +22,7 @@ from __future__ import annotations
 import hashlib
 import json
 import multiprocessing
+import random
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -34,6 +37,7 @@ from repro.engine.runner import clear_caches, run_population
 from repro.frontend import (BimodalPredictor, BranchUnit, GsharePredictor,
                             measure_conditional_mpki)
 from repro.harness.figures import figure1_ghist_sweep
+from repro.memory import MemoryHierarchy
 from repro.metrics.diff import diff_metric_documents, render_metric_diff
 from repro.metrics.regress import (compare_populations, population_rows,
                                    render_regress)
@@ -86,6 +90,15 @@ FRONTEND_WINDOWS = (
     700, ("core.instructions", "frontend.mispredicts",
           "frontend.bubbles.total", "uoc.fetch_cycles", "uoc.build_cycles",
           "energy.shp_lookup"), ("M1", "M5", "M6"), 1234)
+#: Shared-L2 contention on the memory hierarchy alone: the random
+#: 768 KiB working set of benchmarks/test_ablation_shared_l2_and_
+#: frequency.py, shortened.  (label, accesses, the pinned (generation,
+#: co-runners) pairs.)  M1/M2 share their L2 among 4 cores, M5/M6 among 2.
+CORUNNER_MEMORY = ("corunners:memory:768KiB/20000", 20_000,
+                   (("M1", 0), ("M1", 3), ("M5", 0), ("M5", 1)))
+#: Full runs under contention: (label, spec, (generation, co-runners)).
+CORUNNER_RUNS = ("corunners:web_like:3:5000", TraceSpec("web_like", 3, 5000),
+                 (("M1", 3), ("M5", 1)))
 
 
 def fresh() -> None:
@@ -247,6 +260,34 @@ def frontend_windows(gen: str, route: str = "run") -> list:
     return json.loads(dump([w.to_dict() for w in r.windows]))
 
 
+def corunner_memory(gen: str, corunners: int,
+                    accesses: int = CORUNNER_MEMORY[1]) -> dict:
+    """Every ``mem.*`` metric after ``accesses`` random loads over a
+    768 KiB working set, with ``corunners`` cluster-mates on the L2."""
+    mem = MemoryHierarchy(get_generation(gen), corunners=corunners)
+    rng = random.Random(9)
+    now = 0.0
+    for _ in range(accesses):
+        addr = 0x100_0000 + rng.randrange(0, 768 * 1024 // 64) * 64
+        now += 6.0 + mem.access(0x0, addr, now=now) * 0.25
+    return json.loads(dump({k: v for k, v in mem.stats.registry.as_dict()
+                            .items() if k.startswith("mem.")}))
+
+
+CORUNNER_ROUTES = {
+    "run": lambda spec, gen, k: repro.run(spec, gen, corunners=k),
+    "warmup": lambda spec, gen, k: repro.run(spec, gen, corunners=k,
+                                             warmup=1500),
+}
+
+
+def corunner_run(gen: str, corunners: int, route: str = "run") -> dict:
+    """The full metric map of one run with ``corunners`` cluster-mates."""
+    fresh()
+    r = CORUNNER_ROUTES[route](CORUNNER_RUNS[1], gen, corunners)
+    return json.loads(dump(r.metrics.as_dict()))
+
+
 def routes() -> dict:
     return {
         FIG1[0]: fig1_sweep(),
@@ -256,6 +297,10 @@ def routes() -> dict:
                             for mode in CONTEXT_MODES},
         FRONTEND_WINDOWS[0]: {gen: frontend_windows(gen)
                               for gen in FRONTEND_WINDOWS[4]},
+        CORUNNER_MEMORY[0]: {f"{gen}+{k}": corunner_memory(gen, k)
+                             for gen, k in CORUNNER_MEMORY[2]},
+        CORUNNER_RUNS[0]: {f"{gen}+{k}": corunner_run(gen, k)
+                           for gen, k in CORUNNER_RUNS[2]},
     }
 
 
@@ -386,3 +431,27 @@ def test_context_switch(mode, route):
     _check_values(f"{CONTEXT_SWITCH[0]} {mode} ({route})",
                   _routes(CONTEXT_SWITCH[0])[mode],
                   context_switch_stats(mode, route))
+
+
+@pytest.mark.parametrize("gen,corunners", CORUNNER_MEMORY[2])
+def test_corunner_memory(gen, corunners):
+    key = f"{gen}+{corunners}"
+    _check_values(f"{CORUNNER_MEMORY[0]}@{key}",
+                  _routes(CORUNNER_MEMORY[0])[key],
+                  corunner_memory(gen, corunners))
+
+
+def test_private_l2_ignores_corunners():
+    # M3's L2 is private, so co-runners claim none of it; the check is
+    # structural, so a shorter drive than the pinned one does.
+    assert corunner_memory("M3", 3, 5000) == corunner_memory("M3", 0, 5000)
+
+
+@pytest.mark.parametrize("gen,corunners,route", [
+    (gen, k, route) for gen, k in CORUNNER_RUNS[2]
+    for route in CORUNNER_ROUTES])
+def test_corunner_run(gen, corunners, route):
+    key = f"{gen}+{corunners}"
+    _check_values(f"{CORUNNER_RUNS[0]}@{key} ({route})",
+                  _routes(CORUNNER_RUNS[0])[key],
+                  corunner_run(gen, corunners, route))
