@@ -42,7 +42,6 @@ class LintConfig:
     #: reach results.
     worker_state_allow: Tuple[str, ...] = (
         "repro.engine.tasks._TRACE_MEMO",
-        "repro.engine.tasks._WARMUP_MEMO",
         "repro.engine.tasks._CTRACE_MEMO",
         "repro.engine.tasks._TRACE_STATS",
     )

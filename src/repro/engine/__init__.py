@@ -45,7 +45,6 @@ from .tasks import (  # noqa: F401
     ENGINE_SCHEMA_VERSION,
     execute_task,
     execute_task_heartbeat,
-    execute_task_timed,
     ghist_task,
     population_task,
     task_fingerprint,

@@ -1,8 +1,9 @@
 """The population execution engine.
 
-Shards the (trace x generation) task matrix across worker processes,
-memoizes per-task results through :class:`~repro.engine.cache.TaskCache`,
-and reports wall-clock/throughput statistics.  The public entry points —
+Runs a population as one batch of independent (trace x generation)
+tasks: shards the cache-missing ones across worker processes, memoizes
+per-task results through :class:`~repro.engine.cache.TaskCache`, and
+reports wall-clock/throughput statistics.  The public entry points —
 :func:`run` and :func:`run_population` — are re-exported as ``repro.run``
 and ``repro.run_population``.
 
@@ -27,14 +28,14 @@ from ..observe.ledger import ledger_enabled
 from ..observe.profile import TaskTiming
 from ..observe.telemetry import (TelemetryConfig, TelemetryMonitor,
                                  start_watchdog)
-from ..traces.spec import TraceLike, TraceSpec, coerce_spec
+from ..traces.spec import TraceLike, coerce_spec
 from ..traces.types import Trace
 from ..traces.workloads import standard_suite_specs
 from .cache import TaskCache, clear_memory
 from .results import PopulationResult, SliceMetrics
 from .tasks import (_build_compiled, execute_task_heartbeat,
                     population_task, task_fingerprint, task_instructions,
-                    task_label, warmup_checkpoint, warmup_task)
+                    task_label, warmup_checkpoint)
 
 ProgressFn = Callable[[int, int], None]
 
@@ -54,8 +55,8 @@ class EngineStats:
     #: Per-executed-task wall times (empty when everything was cached).
     task_timings: List[TaskTiming] = field(default_factory=list)
     #: Per-task-kind cache accounting: ``{"population": {"hits": h,
-    #: "executed": e}, "warmup": ...}`` — the warmup-vs-measure
-    #: hit-rate view ``describe_profile`` renders.  The
+    #: "executed": e}, "ghist": ...}`` — the per-kind hit-rate view
+    #: ``describe_profile`` renders.  The
     #: pseudo-kind ``"trace_compile"`` counts prepared-trace reuse:
     #: hits = memo + compiled-store hits, executed = traces built.
     kind_stats: Dict[str, Dict[str, int]] = field(default_factory=dict)
@@ -89,27 +90,6 @@ class EngineStats:
             f"({self.tasks_per_second:.1f} tasks/s, "
             f"workers={self.workers}, cache={self.cache_mode})"
         )
-
-    def absorb(self, other: "EngineStats") -> None:
-        """Fold another phase's stats into this one (warmup + measure
-        phases of one population run report as a single total)."""
-        self.tasks_total += other.tasks_total
-        self.cache_hits += other.cache_hits
-        self.executed += other.executed
-        self.wall_seconds += other.wall_seconds
-        self.instructions_total += other.instructions_total
-        self.instructions_executed += other.instructions_executed
-        for phase, seconds in other.phase_breakdown.items():
-            self.phase_breakdown[phase] = (
-                self.phase_breakdown.get(phase, 0.0) + seconds)
-        for key, value in other.trace_stats.items():
-            self.trace_stats[key] = self.trace_stats.get(key, 0) + value
-        self.task_timings.extend(other.task_timings)
-        for kind, counts in other.kind_stats.items():
-            mine = self.kind_stats.setdefault(
-                kind, {"hits": 0, "executed": 0})
-            mine["hits"] += counts.get("hits", 0)
-            mine["executed"] += counts.get("executed", 0)
 
 
 def _resolve_workers(workers: Optional[int]) -> int:
@@ -272,17 +252,14 @@ class PopulationEngine:
         every cache-missing payload.  Seconds and pid are measured inside
         the process that ran the task (worker-side under the pool) — the
         telemetry heartbeat riding the result channel; trace_stats is the
-        task's trace-preparation counter delta (``None`` from legacy
-        3-tuple heartbeats, e.g. tests monkeypatching the heartbeat)."""
+        task's trace-preparation counter delta."""
         # The cache root rides along as a transport-only key (skipped
         # by fingerprints), so compiled traces land beside the results.
         root = str(self.cache.cache_dir)
         ordered = [{**payloads[i], "_cache_dir": root} for i in missing]
         if self.workers <= 1 or len(missing) <= 1:
             for i, payload in zip(missing, ordered):
-                out = execute_task_heartbeat(payload)
-                yield (i, out[0], out[1], out[2],
-                       out[3] if len(out) > 3 else None)
+                yield (i, *execute_task_heartbeat(payload))
             return
         n_workers = min(self.workers, len(missing))
         # Contiguous chunks keep same-trace tasks on the same worker so
@@ -293,8 +270,7 @@ class PopulationEngine:
                     missing,
                     pool.map(execute_task_heartbeat, ordered,
                              chunksize=chunksize)):
-                yield (i, out[0], out[1], out[2],
-                       out[3] if len(out) > 3 else None)
+                yield (i, *out)
 
     def _report(self, done: int, total: int) -> None:
         if self.progress is not None:
@@ -305,20 +281,10 @@ class PopulationEngine:
 # Population runs
 # ---------------------------------------------------------------------------
 
-#: Memoized whole-population results, keyed by run parameters — the
-#: successor of the old ``harness.population._CACHE`` module global.
-#: Lets several benches share one ``PopulationResult`` *object* within a
-#: process, on top of the per-task result cache.
-_PopulationKey = Tuple[int, int, int, Tuple[str, ...], int,
-                       Optional[Tuple[str, ...]], int]
-_POPULATION_MEMO: Dict[_PopulationKey, PopulationResult] = {}
-
-
 def clear_caches() -> None:
-    """Drop all in-memory engine state (population memo + task memory
-    tier).  The disk tier is untouched; see
+    """Drop the engine's in-memory result tier, so the next run reads
+    the disk tier or simulates.  The disk tier is untouched; see
     :func:`repro.engine.cache.clear_disk`."""
-    _POPULATION_MEMO.clear()
     clear_memory()
 
 
@@ -352,7 +318,6 @@ def execute_population(
     progress: Optional[ProgressFn] = None,
     window_interval: int = DEFAULT_WINDOW_INSTRUCTIONS,
     window_counters: Optional[Sequence[str]] = None,
-    warmup: int = 0,
     telemetry: Optional[TelemetryConfig] = None,
     ledger: Optional[bool] = None,
 ) -> Tuple[PopulationResult, EngineStats]:
@@ -364,13 +329,9 @@ def execute_population(
     ``window_interval`` controls per-slice metric windows (0 disables
     them) and ``window_counters`` selects which registry counters each
     window snapshots (default: the standard five); like ``workers``,
-    neither ever perturbs the timing results.
-
-    ``warmup`` > 0 splits every slice into a warmup prefix of that many
-    instructions — simulated exactly once per (config, trace, warmup)
-    and persisted as a checkpoint through the task cache — plus a
-    measure phase resumed from the snapshot.  Results are bit-identical
-    to ``warmup=0``; only scheduling and cache reuse change.
+    neither ever perturbs the timing results.  Every (config, slice)
+    pair is one task through the task cache, so a repeated call is
+    served from the cache tier ``cache`` names.
 
     ``telemetry`` (a :class:`~repro.observe.telemetry.TelemetryConfig`)
     turns on live run telemetry — status-file JSON, ETA, hung-worker
@@ -382,47 +343,6 @@ def execute_population(
     configs = [get_generation(g) for g in gens]
     counters = (tuple(window_counters)
                 if window_counters is not None else None)
-    warmup = int(warmup)
-    memo_key = (n_slices, slice_length, seed, gens, window_interval,
-                counters, warmup)
-
-    def _ledger_params() -> Dict[str, Any]:
-        return {
-            "n_slices": n_slices,
-            "slice_length": slice_length,
-            "seed": seed,
-            "generations": list(gens),
-            "window_interval": window_interval,
-            "window_counters": list(counters) if counters else None,
-            "warmup": warmup,
-        }
-
-    if cache != "off":
-        memoized = _POPULATION_MEMO.get(memo_key)
-        if memoized is not None:
-            stats = EngineStats(
-                tasks_total=n_slices * len(gens),
-                cache_hits=n_slices * len(gens),
-                executed=0,
-                wall_seconds=0.0,
-                workers=_resolve_workers(workers),
-                cache_mode=cache,
-                kind_stats={"population": {
-                    "hits": n_slices * len(gens), "executed": 0}},
-            )
-            if ledger_enabled(ledger):
-                payloads = [population_task(config, spec,
-                                            window_interval=window_interval,
-                                            window_counters=counters,
-                                            warmup=warmup)
-                            for spec in standard_suite_specs(
-                                n_slices=n_slices,
-                                slice_length=slice_length, seed=seed)
-                            for config in configs]
-                _ledger_population(memoized, stats, payloads, configs,
-                                   _ledger_params(), cache_dir)
-            return memoized, stats
-
     specs = standard_suite_specs(n_slices=n_slices,
                                  slice_length=slice_length, seed=seed)
     engine = PopulationEngine(workers=workers, cache=cache,
@@ -432,27 +352,9 @@ def execute_population(
     # all generations of one trace back to back.
     payloads = [population_task(config, spec,
                                 window_interval=window_interval,
-                                window_counters=counters,
-                                warmup=warmup)
+                                window_counters=counters)
                 for spec in specs for config in configs]
-    warmup_stats: Optional[EngineStats] = None
-    if warmup > 0:
-        # Phase 1: one cached warmup-prefix checkpoint per (config,
-        # trace, warmup); phase 2 measure tasks resume from them (the
-        # checkpoint travels as a transport-only field, excluded from
-        # the measure fingerprint — it is derived state).
-        warmups = [warmup_task(config, spec,
-                               window_interval=window_interval,
-                               window_counters=counters,
-                               warmup=warmup)
-                   for spec in specs for config in configs]
-        checkpoints, warmup_stats = engine.run_payloads(warmups)
-        for payload, state in zip(payloads, checkpoints):
-            payload["_warmup_state"] = state
     rows, stats = engine.run_payloads(payloads)
-    if warmup_stats is not None:
-        stats.absorb(warmup_stats)
-        engine.last_stats = stats
 
     result = PopulationResult()
     n_gens = len(configs)
@@ -460,11 +362,17 @@ def execute_population(
         for s in range(len(specs)):
             result.metrics.append(
                 SliceMetrics.from_dict(rows[s * n_gens + g]))
-    if cache != "off":
-        _POPULATION_MEMO[memo_key] = result
     if ledger_enabled(ledger):
-        _ledger_population(result, stats, payloads, configs,
-                           _ledger_params(), cache_dir)
+        params = {
+            "n_slices": n_slices,
+            "slice_length": slice_length,
+            "seed": seed,
+            "generations": list(gens),
+            "window_interval": window_interval,
+            "window_counters": list(counters) if counters else None,
+        }
+        _ledger_population(result, stats, payloads, configs, params,
+                           cache_dir)
     return result, stats
 
 
@@ -480,7 +388,6 @@ def run_population(
     progress: Optional[ProgressFn] = None,
     window_interval: int = DEFAULT_WINDOW_INSTRUCTIONS,
     window_counters: Optional[Sequence[str]] = None,
-    warmup: int = 0,
 ) -> PopulationResult:
     """Simulate the standard suite on each generation.
 
@@ -490,17 +397,13 @@ def run_population(
     task matrix across processes, and ``cache="disk"`` to persist
     per-task results under ``~/.cache/repro`` so repeated runs skip
     simulation entirely.  ``window_counters`` customizes which registry
-    counters the per-window series snapshot.  ``warmup=N`` simulates
-    each slice's first N instructions once per (config, trace, N) as a
-    cached checkpoint and resumes measure phases from the snapshots —
-    results are bit-identical to ``warmup=0``.
+    counters the per-window series snapshot.
     """
     result, _ = execute_population(
         n_slices=n_slices, slice_length=slice_length, seed=seed,
         generations=generations, workers=workers, cache=cache,
         cache_dir=cache_dir, progress=progress,
-        window_interval=window_interval, window_counters=window_counters,
-        warmup=warmup)
+        window_interval=window_interval, window_counters=window_counters)
     return result
 
 
@@ -523,12 +426,13 @@ def run(trace_or_spec: TraceLike,
     .GenerationConfig` (e.g. a design-exploration variant).  Returns the
     full :class:`~repro.core.simulator.SimulationResult`.
 
-    ``warmup=N`` simulates the first N instructions once per (config,
-    trace, N) — the checkpoint is memoized in-process, so repeated
+    ``warmup=N`` simulates the first N instructions, checkpoints the
+    simulator and resumes the measure phase from the snapshot; results
+    are bit-identical to ``warmup=0``.  With a spec the checkpoint is
+    memoized in-process per (config, trace, co-runners, N), so repeated
     ``run`` calls over the same prefix restore instead of re-simulating
-    — and resumes the measure phase from the snapshot.  Results are
-    bit-identical to ``warmup=0``.  The memo needs a regenerable spec:
-    a materialized ``Trace`` falls back to one uninterrupted run.
+    it.  A materialized ``Trace`` has no key to memoize under, so it
+    simulates its prefix on every call.
 
     ``trace_to`` turns pipeline event tracing on; it is the one way a
     traced run starts.  ``True`` captures in memory
@@ -554,10 +458,9 @@ def run(trace_or_spec: TraceLike,
         trace = _build_compiled(spec.to_dict())
 
     warm_state = None
-    if warmup and spec is not None:
-        warm_state = warmup_checkpoint(
-            warmup_task(config, spec, corunners=corunners,
-                        warmup=int(warmup)))
+    if warmup:
+        warm_state = warmup_checkpoint(config, trace, int(warmup),
+                                       corunners=corunners, spec=spec)
         trace = trace.slice(int(warmup))
 
     def build_and_run(sink=None):

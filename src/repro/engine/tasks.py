@@ -15,9 +15,6 @@ Task kinds:
 ``"ghist"``
     One Figure 1 measurement: conditional MPKI of a standalone SHP with a
     given GHIST hash range over one trace.
-``"warmup"``
-    The first ``warmup`` instructions of a population run; the result
-    is the simulator checkpoint that measure phases resume from.
 
 The fingerprint of a task hashes its *entire* payload (full nested config
 dict included) together with the package version and an engine schema
@@ -32,7 +29,7 @@ import json
 import os
 import time
 from collections import OrderedDict
-from typing import Any, Dict, Optional, Sequence, Tuple
+from typing import Any, Dict, Optional, Sequence, Tuple, Union
 
 from .. import __version__
 from ..config import GenerationConfig
@@ -53,7 +50,9 @@ from .cache import CompiledTraceStore
 #: unbounded capture (``capacity=None``); 5 = the "warmup" task kind
 #: landed (results are simulator checkpoint documents) and ``warmup``
 #: joined the population payload.  Removing the "pipetrace" kind later
-#: changed no surviving payload or result, so it took no bump.
+#: changed no surviving payload or result, so it took no bump; neither
+#: did removing the "warmup" kind (population payloads keep
+#: ``"warmup": 0``).
 ENGINE_SCHEMA_VERSION = 5
 
 
@@ -61,17 +60,8 @@ def population_task(config: GenerationConfig, spec: TraceSpec,
                     corunners: int = 0,
                     window_interval: int = DEFAULT_WINDOW_INSTRUCTIONS,
                     window_counters: Optional[Sequence[str]] = None,
-                    warmup: int = 0,
                     ) -> Dict[str, Any]:
-    """One full-simulator run; ``warmup`` > 0 splits it into a cached
-    warmup-prefix checkpoint (see :func:`warmup_task`) plus a measure
-    phase resumed from that snapshot.  Results are bit-identical either
-    way — warmup only changes how the work is scheduled and cached.
-    """
-    if not 0 <= warmup < spec.n_instructions:
-        raise ValueError(
-            f"warmup must be in [0, {spec.n_instructions}) for this "
-            f"trace, got {warmup}")
+    """One full-simulator run of ``spec`` on ``config``."""
     return {
         "kind": "population",
         "config": config_to_dict(config),
@@ -80,26 +70,9 @@ def population_task(config: GenerationConfig, spec: TraceSpec,
         "window_interval": window_interval,
         "window_counters": (list(window_counters)
                             if window_counters is not None else None),
-        "warmup": warmup,
+        # A constant no executor reads; it stays so no cache key moves.
+        "warmup": 0,
     }
-
-
-def warmup_task(config: GenerationConfig, spec: TraceSpec,
-                corunners: int = 0,
-                window_interval: int = DEFAULT_WINDOW_INSTRUCTIONS,
-                window_counters: Optional[Sequence[str]] = None,
-                warmup: int = 0,
-                ) -> Dict[str, Any]:
-    """Simulate the first ``warmup`` instructions and return the
-    simulator checkpoint document — the snapshot measure phases resume
-    from.  The window configuration rides along because the checkpoint
-    carries the (partially filled) window recorder."""
-    if not 0 < warmup < spec.n_instructions:
-        raise ValueError(
-            f"warmup must be in (0, {spec.n_instructions}) for this "
-            f"trace, got {warmup}")
-    return {**population_task(config, spec, corunners, window_interval,
-                              window_counters, warmup), "kind": "warmup"}
 
 
 def ghist_task(spec: TraceSpec, ghist_bits: int, tables: int = 8,
@@ -118,8 +91,8 @@ def task_fingerprint(payload: Dict[str, Any]) -> str:
     """Stable SHA-256 over the canonical JSON of (payload, versions).
 
     Top-level keys starting with ``_`` are transport-only (data shipped
-    to the worker that is itself derived from the fingerprinted fields,
-    e.g. a warmup checkpoint) and are excluded from the hash.
+    to the worker that does not change its result, e.g. the cache root)
+    and are excluded from the hash.
     """
     envelope = {
         "payload": {k: v for k, v in payload.items()
@@ -240,39 +213,41 @@ def _build_compiled(spec_dict: Dict[str, Any],
     return compiled
 
 
-#: Per-process memo of warmup checkpoints, keyed by warmup-task
-#: fingerprint.  Serial runs and chunk-mates on one worker reuse the
-#: snapshot without re-simulating (or re-reading the result cache).
-_WARMUP_MEMO: "OrderedDict[str, Dict[str, Any]]" = OrderedDict()
+#: Per-process memo of ``repro.run(warmup=N)`` checkpoints, keyed by
+#: what a checkpoint depends on: (config fingerprint, trace spec key,
+#: co-runners, N).  Reruns over one prefix — tracing passes, counter
+#: sweeps, A/B reruns — restore it instead of re-simulating it.
+_WARMUP_MEMO: "OrderedDict[Tuple[Any, ...], Dict[str, Any]]" = \
+    OrderedDict()
 _WARMUP_MEMO_CAP = 16
 
 
-def warmup_checkpoint(payload: Dict[str, Any]) -> Dict[str, Any]:
-    """The checkpoint for a warmup-task payload, via the process memo."""
-    fp = task_fingerprint(payload)
-    doc = _WARMUP_MEMO.get(fp)
-    if doc is None:
-        doc = _run_warmup_task(payload)
-        _WARMUP_MEMO[fp] = doc
-        while len(_WARMUP_MEMO) > _WARMUP_MEMO_CAP:
-            _WARMUP_MEMO.popitem(last=False)
-    else:
-        _WARMUP_MEMO.move_to_end(fp)
-    return doc
-
-
-def _run_warmup_task(payload: Dict[str, Any]) -> Dict[str, Any]:
+def warmup_checkpoint(config: GenerationConfig,
+                      trace: Union[Trace, CompiledTrace], warmup: int,
+                      corunners: int = 0,
+                      spec: Optional[TraceSpec] = None) -> Dict[str, Any]:
+    """The simulator checkpoint after ``trace``'s first ``warmup``
+    instructions, simulated untraced.  ``spec`` is the trace's source:
+    with it the checkpoint goes through :data:`_WARMUP_MEMO`; a
+    materialized trace has no key, so its prefix runs on every call."""
     from ..core import GenerationSimulator
 
-    config = config_from_dict(payload["config"])
-    trace = _build_compiled(payload["trace"], payload.get("_cache_dir"))
-    sim = GenerationSimulator(config, corunners=payload.get("corunners", 0))
-    sim.run(trace.slice(0, int(payload["warmup"])),
-            window_interval=payload.get(
-                "window_interval", DEFAULT_WINDOW_INSTRUCTIONS),
-            window_counters=payload.get("window_counters"),
-            finalize=False)
-    return sim.save_state()
+    if not 0 < warmup < len(trace):
+        raise ValueError(f"warmup must be in (0, {len(trace)}) for this "
+                         f"trace, got {warmup}")
+    key = (None if spec is None
+           else (config.fingerprint(), spec.key(), corunners, warmup))
+    if key in _WARMUP_MEMO:
+        _WARMUP_MEMO.move_to_end(key)
+        return _WARMUP_MEMO[key]
+    sim = GenerationSimulator(config, corunners=corunners)
+    sim.run(trace.slice(0, warmup), finalize=False)
+    doc = sim.save_state()
+    if key is not None:
+        _WARMUP_MEMO[key] = doc
+        while len(_WARMUP_MEMO) > _WARMUP_MEMO_CAP:
+            _WARMUP_MEMO.popitem(last=False)
+    return doc
 
 
 def _run_population_task(payload: Dict[str, Any]) -> Dict[str, Any]:
@@ -283,22 +258,10 @@ def _run_population_task(payload: Dict[str, Any]) -> Dict[str, Any]:
     config = config_from_dict(payload["config"])
     trace = _build_compiled(payload["trace"], payload.get("_cache_dir"))
     sim = GenerationSimulator(config, corunners=payload.get("corunners", 0))
-    counters = payload.get("window_counters")
-    warmup = int(payload.get("warmup", 0) or 0)
-    if warmup > 0:
-        # Resume the measure phase from the warmup-prefix snapshot; the
-        # engine ships it as a transport field when it already has it,
-        # otherwise the per-process memo builds (or reuses) it here.
-        # The other transport keys (the cache root) ride along.
-        state = payload.get("_warmup_state")
-        if state is None:
-            state = warmup_checkpoint({**payload, "kind": "warmup"})
-        sim.restore(state)
-        trace = trace.slice(warmup)
     r = sim.run(trace,
                 window_interval=payload.get(
                     "window_interval", DEFAULT_WINDOW_INSTRUCTIONS),
-                window_counters=counters)
+                window_counters=payload.get("window_counters"))
     stack = estimate_from_simulation(r).cpi_stack
     row = SliceMetrics(
         trace_name=trace.name,
@@ -333,7 +296,6 @@ def _run_ghist_task(payload: Dict[str, Any]) -> Dict[str, Any]:
 _EXECUTORS = {
     "population": _run_population_task,
     "ghist": _run_ghist_task,
-    "warmup": _run_warmup_task,
 }
 
 
@@ -351,26 +313,16 @@ def task_label(payload: Dict[str, Any]) -> str:
                      f"x{spec.get('n_instructions', '?')}")
     if kind == "ghist":
         parts.append(f"ghist={payload.get('ghist_bits')}")
-    if payload.get("warmup"):
-        parts.append(f"warmup={payload['warmup']}")
     return " ".join(parts)
 
 
 def task_instructions(payload: Dict[str, Any]) -> int:
-    """Instructions one payload will simulate (telemetry throughput).
-
-    A pure function of the payload — warmup tasks run the prefix,
-    measure tasks with ``warmup`` run the remainder, everything else
-    runs the full spec length.  Payloads without a trace spec count 0.
-    """
+    """Instructions one payload will simulate (telemetry throughput):
+    its trace spec's length, or 0 for a payload without one."""
     spec = payload.get("trace")
     if not isinstance(spec, dict):
         return 0
-    n = int(spec.get("n_instructions", 0) or 0)
-    warmup = int(payload.get("warmup", 0) or 0)
-    if payload.get("kind") == "warmup":
-        return min(n, warmup)
-    return max(0, n - warmup)
+    return int(spec.get("n_instructions", 0) or 0)
 
 
 def execute_task(payload: Dict[str, Any]) -> Dict[str, Any]:
@@ -382,24 +334,11 @@ def execute_task(payload: Dict[str, Any]) -> Dict[str, Any]:
     return runner(payload)
 
 
-def execute_task_timed(payload: Dict[str, Any]
-                       ) -> Tuple[Dict[str, Any], float]:
-    """Like :func:`execute_task`, also returning the task's wall seconds.
-
-    The timing travels *next to* the result, never inside it, so cached
-    result payloads stay bit-identical run to run.  Host-side profiling
-    only — simulated timing comes exclusively from the payload.
-    """
-    t0 = time.perf_counter()
-    result = execute_task(payload)
-    return result, time.perf_counter() - t0
-
-
 def execute_task_heartbeat(payload: Dict[str, Any]
                            ) -> Tuple[Dict[str, Any], float, int,
                                       Dict[str, float]]:
-    """Like :func:`execute_task_timed`, plus the executing pid and this
-    task's trace-preparation stats delta.
+    """Run one task payload and return ``(result, wall seconds, pid,
+    trace-stats delta)`` — the function the engine's workers run.
 
     The ``(seconds, pid)`` pair is the worker-side half of an engine
     telemetry heartbeat (:mod:`repro.observe.telemetry`): it rides the
@@ -407,12 +346,14 @@ def execute_task_heartbeat(payload: Dict[str, Any]
     and task context.  The fourth element is the delta of
     :data:`_TRACE_STATS` across the task (only changed keys) — the
     host folds it into ``EngineStats.trace_stats``/``phase_breakdown``.
-    Everything travels *beside* the result — cached payloads never
-    carry any of it.  (The engine tolerates 3-tuples from monkeypatched
-    heartbeats; the delta is simply absent then.)
+    Everything travels *beside* the result, so cached result payloads
+    stay bit-identical run to run; the wall time is host-side profiling
+    only — simulated timing comes exclusively from the payload.
     """
     before = trace_stats_snapshot()
-    result, seconds = execute_task_timed(payload)
+    t0 = time.perf_counter()
+    result = execute_task(payload)
+    seconds = time.perf_counter() - t0
     after = trace_stats_snapshot()
     delta = {k: after[k] - before.get(k, 0)
              for k in after if after[k] != before.get(k, 0)}

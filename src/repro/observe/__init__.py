@@ -74,7 +74,6 @@ from .stream import (  # noqa: F401
 )
 from .telemetry import (  # noqa: F401
     TELEMETRY_SCHEMA_VERSION,
-    Heartbeat,
     TelemetryConfig,
     TelemetryMonitor,
     start_watchdog,
@@ -134,7 +133,6 @@ __all__ = [
     "TELEMETRY_SCHEMA_VERSION",
     "TelemetryConfig",
     "TelemetryMonitor",
-    "Heartbeat",
     "start_watchdog",
     "write_status_file",
 ]

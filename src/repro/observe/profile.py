@@ -43,8 +43,7 @@ def slowest_tasks(timings: Sequence[TaskTiming],
 
 def kind_hit_rates(kind_stats) -> List[str]:
     """Per-task-kind cache hit-rate lines, kinds sorted for stable
-    output — the warmup-vs-measure view of
-    ``EngineStats.kind_stats``."""
+    output — the rendered view of ``EngineStats.kind_stats``."""
     lines: List[str] = []
     for kind in sorted(kind_stats):
         counts = kind_stats[kind]

@@ -30,7 +30,7 @@ import time
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional
 
-#: Version of the status-file document (and heartbeat record) format.
+#: Version of the status-file document format.
 TELEMETRY_SCHEMA_VERSION = 1
 
 #: Seconds of result-channel silence after which outstanding workers
@@ -50,18 +50,6 @@ class TelemetryConfig:
     poll_interval: float = DEFAULT_POLL_INTERVAL
     #: Warning sink; ``None`` buffers warnings on the monitor only.
     emit: Optional[Callable[[str], None]] = None
-
-
-@dataclass(frozen=True)
-class Heartbeat:
-    """One task completion as seen by the monitor."""
-
-    label: str
-    kind: str
-    seconds: float
-    pid: int
-    instructions: int
-    cached: bool
 
 
 class TelemetryMonitor:
@@ -90,10 +78,6 @@ class TelemetryMonitor:
         self.exec_seconds = 0.0
         self.finished = False
         self.warnings: List[str] = []
-        self.heartbeats: List[Heartbeat] = []
-        #: Last completion time per executing pid (serial runs report
-        #: the host pid).
-        self.last_seen: Dict[int, float] = {}
         self._last_activity = self.started_at
         self._hang_flagged = False
 
@@ -113,13 +97,8 @@ class TelemetryMonitor:
                 self.executed += 1
                 self.exec_seconds += float(seconds)
             self.instructions += int(instructions)
-            self.last_seen[int(pid)] = now
             self._last_activity = now
             self._hang_flagged = False
-            self.heartbeats.append(Heartbeat(
-                label=label, kind=kind, seconds=float(seconds),
-                pid=int(pid), instructions=int(instructions),
-                cached=cached))
 
     def finish(self, now: Optional[float] = None) -> None:
         """Mark the run complete and write the final status document."""

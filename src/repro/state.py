@@ -36,8 +36,8 @@ JSON-ability conventions, shared via the helpers below:
 On top of the protocol, :meth:`repro.core.simulator.GenerationSimulator
 .save_state` produces a versioned whole-simulator checkpoint document,
 and :func:`save_checkpoint` / :func:`load_checkpoint` give it a stable
-on-disk form (sorted-key JSON) used by the engine's warmup-snapshot
-reuse and the ``repro checkpoint`` CLI.  See ``docs/checkpoint.md``.
+on-disk form (sorted-key JSON) used by the ``repro checkpoint`` CLI.
+See ``docs/checkpoint.md``.
 """
 
 from __future__ import annotations

@@ -126,12 +126,14 @@ def test_run_accepts_trace_config_and_corunners():
 # Cache tiers
 # ---------------------------------------------------------------------------
 
-def test_memory_cache_returns_same_object():
+def test_memory_cache_serves_a_repeat_run():
     kwargs = dict(n_slices=2, slice_length=1000, seed=3,
-                  generations=("M1",))
-    first = run_population(cache="memory", **kwargs)
-    again = run_population(cache="memory", **kwargs)
-    assert again is first
+                  generations=("M1",), cache="memory")
+    first, _ = execute_population(**kwargs)
+    again, stats = execute_population(**kwargs)
+    assert stats.executed == 0
+    assert stats.cache_hits == stats.tasks_total == 2
+    assert again.metrics == first.metrics
 
 
 def test_cache_off_recomputes_fresh_objects():

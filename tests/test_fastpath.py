@@ -19,8 +19,7 @@ from repro.core.scoreboard import _PortGroup
 from repro.engine import execute_population
 from repro.engine.cache import CTRACE_DIRNAME, CompiledTraceStore
 from repro.engine.runner import clear_caches
-from repro.engine.tasks import (_CTRACE_MEMO, _TRACE_MEMO, _WARMUP_MEMO,
-                                _build_compiled)
+from repro.engine.tasks import _CTRACE_MEMO, _TRACE_MEMO, _build_compiled
 from repro.traces import TraceSpec, make_trace
 from repro.traces.compiled import (CompiledTraceError, compile_trace,
                                    compiled_fingerprint, dump_bytes,
@@ -183,20 +182,17 @@ def test_store_disk_hit_skips_regeneration(monkeypatch, tmp_path):
     assert _all_fields(second) == _all_fields(first)
 
 
-@pytest.mark.parametrize("warmup", [0, 500])
-def test_cache_dir_roots_the_compiled_trace_store(monkeypatch, tmp_path,
-                                                  warmup):
+def test_cache_dir_roots_the_compiled_trace_store(monkeypatch, tmp_path):
     """``cache_dir=`` roots both disk tiers, whatever
-    ``$REPRO_CACHE_DIR`` says — the warmup-prefix tasks included."""
+    ``$REPRO_CACHE_DIR`` says."""
     root, env_root = tmp_path / "a", tmp_path / "b"
     _store_env(monkeypatch, env_root)
     clear_caches()
-    for memo in (_TRACE_MEMO, _CTRACE_MEMO, _WARMUP_MEMO):
+    for memo in (_TRACE_MEMO, _CTRACE_MEMO):
         memo.clear()
     execute_population(n_slices=2, slice_length=1000, generations=["M1"],
-                       warmup=warmup, cache="disk", cache_dir=root,
-                       ledger=False)
-    assert len(list(root.glob("tasks/*/*.json"))) == 2 * (1 + bool(warmup))
+                       cache="disk", cache_dir=root, ledger=False)
+    assert len(list(root.glob("tasks/*/*.json"))) == 2
     assert len(list(root.glob(f"{CTRACE_DIRNAME}/*/*.ctrace"))) == 2
     assert not list(env_root.glob("**/*.ctrace"))
 

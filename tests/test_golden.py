@@ -1,6 +1,6 @@
 """Golden results: outputs pinned by the files under ``tests/golden/``,
 each reached through every route that must agree — a 2-slice M1-M6
-population (serial, two workers, warmup-resumed), single-run metric
+population (serial, two workers), single-run metric
 snapshots (spec, plain ``Trace``, ``warmup=``, checkpoint resume),
 traced runs' event streams (``repro.run(trace_to=True)`` in-process and
 in a worker process; two of them with UOC mode events), one
@@ -50,8 +50,7 @@ from repro.traces.workloads import cbp5_suite_specs, specint_like
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
-POPULATION_ROUTES = {"serial": {}, "workers2": {"workers": 2},
-                     "warmup1000": {"warmup": 1000}}
+POPULATION_ROUTES = {"serial": {}, "workers2": {"workers": 2}}
 SPECINT = TraceSpec("specint_like", 11, 5000)
 STREAM = TraceSpec("stream_like", 13, 4000)
 #: label -> (spec, generation, the routes that must reproduce it).
@@ -112,11 +111,11 @@ def dump(doc) -> str:
     return json.dumps(doc, indent=1, sort_keys=True) + "\n"
 
 
-def population_archive(workers: int = 1, warmup: int = 0) -> str:
+def population_archive(workers: int = 1) -> str:
     fresh()
     return population_to_json(run_population(
         n_slices=2, slice_length=3000, seed=2020, workers=workers,
-        warmup=warmup, cache="off"), indent=1) + "\n"
+        cache="off"), indent=1) + "\n"
 
 
 def _resumed(spec: TraceSpec, gen: str, cut: int = 1700, **kwargs):

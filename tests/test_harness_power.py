@@ -15,7 +15,7 @@ from repro.harness import (
     table2_storage,
     table4_load_latency,
 )
-from repro.engine import run_population
+from repro.engine import execute_population, run_population
 from repro.power import EnergyLedger
 from repro.traces import cbp5_suite, standard_suite
 
@@ -31,8 +31,9 @@ def test_population_covers_all_generations(tiny_population):
 
 
 def test_population_cached(tiny_population):
-    again = run_population(n_slices=10, slice_length=6000, seed=7)
-    assert again is tiny_population
+    again, stats = execute_population(n_slices=10, slice_length=6000, seed=7)
+    assert stats.executed == 0
+    assert again.metrics == tiny_population.metrics
 
 
 def test_population_series_sorted(tiny_population):

@@ -239,41 +239,15 @@ def test_cached_run_reports_no_task_timings():
     assert "served from cache" in describe_profile(stats)
 
 
-def test_kind_hit_rates_split_warmup_from_measure():
-    # warmup>0 runs two task kinds: one warmup checkpoint per (config,
-    # trace) plus the measure-phase population tasks.  Sharing the
-    # in-memory cache across two calls leaves the second run all-hit,
-    # and the per-kind split must survive the stats absorb().
-    kwargs = dict(n_slices=2, slice_length=1500, seed=19,
-                  generations=("M1",), cache="memory", warmup=500)
-    from repro.engine import clear_caches
-    clear_caches()
-    _result, cold = execute_population(**kwargs)
-    assert cold.kind_stats["population"] == {"hits": 0, "executed": 2}
-    assert cold.kind_stats["warmup"] == {"hits": 0, "executed": 2}
-
-    # population + warmup, plus the trace_compile pseudo-kind when
-    # compiled traces were prepared during this run.
-    lines = kind_hit_rates(cold.kind_stats)
-    assert 2 <= len(lines) <= 3
-    assert any("population" in line for line in lines)
-    assert any("warmup" in line and "0.0% hit" in line for line in lines)
-    text = describe_profile(cold)
-    assert "cache hit-rate by task kind" in text
-    assert "warmup" in text
-
-
 def test_kind_hit_rates_all_cached_on_rerun(tmp_path):
     kwargs = dict(n_slices=2, slice_length=1500, seed=19,
-                  generations=("M1",), cache="disk", warmup=500,
-                  cache_dir=tmp_path)
+                  generations=("M1",), cache="disk", cache_dir=tmp_path)
     from repro.engine import clear_caches
     clear_caches()  # cold start: earlier tests share these fingerprints
     execute_population(**kwargs)
-    clear_caches()  # drop the population memo: rerun hits the disk tier
+    clear_caches()  # drop the memory tier: rerun hits the disk tier
     _result, warm = execute_population(**kwargs)
     assert warm.kind_stats["population"] == {"hits": 2, "executed": 0}
-    assert warm.kind_stats["warmup"] == {"hits": 2, "executed": 0}
     assert any("100.0% hit" in line
                for line in kind_hit_rates(warm.kind_stats))
 

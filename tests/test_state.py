@@ -8,9 +8,10 @@ The contracts under test (docs/checkpoint.md):
   simulator is *bit-identical* to an uninterrupted run — stats, window
   series, and the traced event stream;
 - one checkpoint document can be restored any number of times (the
-  engine's warmup memo hands the same document to many restores);
-- ``repro.run(..., warmup=N)`` and ``run_population(..., warmup=N)``
-  only reschedule work — results never change, serial or sharded.
+  warmup memo hands the same document to many restores);
+- ``repro.run(..., warmup=N)`` only reschedules work — results never
+  change — and a traced run captures only the measured suffix, from a
+  spec or a materialized ``Trace`` alike.
 """
 
 from __future__ import annotations
@@ -22,10 +23,9 @@ import pytest
 import repro
 from repro.config import GENERATION_ORDER
 from repro.core import GenerationSimulator
-from repro.engine import execute_population
-from repro.engine.runner import clear_caches
+from repro.engine import tasks
 from repro.metrics import WINDOW_COUNTERS
-from repro.observe.events import events_to_jsonl
+from repro.observe.events import InstEvent, events_to_jsonl
 from repro.observe.sink import TraceSink
 from repro.state import (CHECKPOINT_SCHEMA_VERSION, checkpoint_to_json,
                          validate_checkpoint)
@@ -136,14 +136,25 @@ def test_one_checkpoint_restores_many_times():
 
 
 # ---------------------------------------------------------------------------
-# Warmup-snapshot reuse through the engine
+# Warmup-snapshot reuse through repro.run
 # ---------------------------------------------------------------------------
 
-def test_run_warmup_is_bit_identical_and_memoized():
+def test_run_warmup_is_bit_identical_and_memoized(monkeypatch):
     spec = ("loop_kernel", 5, 5000)
     base = repro.run(spec, "M5")
+    tasks._WARMUP_MEMO.clear()
+    simulated = []
+    real_run = GenerationSimulator.run
+
+    def counting_run(self, trace, **kwargs):
+        simulated.append(len(trace))
+        return real_run(self, trace, **kwargs)
+
+    monkeypatch.setattr(GenerationSimulator, "run", counting_run)
     warm1 = repro.run(spec, "M5", warmup=2000)
-    warm2 = repro.run(spec, "M5", warmup=2000)  # memo hit
+    assert simulated == [2000, 3000]
+    warm2 = repro.run(spec, "M5", warmup=2000)
+    assert simulated == [2000, 3000, 3000]  # memo hit: suffix only
     for warm in (warm1, warm2):
         assert warm.core.cycles == base.core.cycles
         assert warm.metrics.as_dict() == base.metrics.as_dict()
@@ -151,30 +162,11 @@ def test_run_warmup_is_bit_identical_and_memoized():
             [w.to_dict() for w in base.windows]
 
 
-def test_population_warmup_matches_serial_and_workers():
-    clear_caches()
-    kwargs = dict(n_slices=3, slice_length=4000, seed=3,
-                  generations=("M1", "M5"), cache="off")
-    plain, _ = execute_population(**kwargs)
-    warm, warm_stats = execute_population(warmup=1500, **kwargs)
-    sharded, _ = execute_population(warmup=1500, workers=2, **kwargs)
-
-    rows = [m.to_dict() for m in plain.metrics]
-    assert [m.to_dict() for m in warm.metrics] == rows
-    assert [m.to_dict() for m in sharded.metrics] == rows
-    # The warmup phase ran once per (config, trace): 6 checkpoints on
-    # top of the 6 measure tasks.
-    assert warm_stats.tasks_total == 12
-
-
-def test_population_warmup_checkpoints_persist_in_disk_cache(tmp_path):
-    clear_caches()
-    kwargs = dict(n_slices=2, slice_length=4000, seed=4,
-                  generations=("M5",), cache="disk", cache_dir=tmp_path)
-    _, cold = execute_population(warmup=1500, **kwargs)
-    assert cold.executed == cold.tasks_total == 4  # 2 warmup + 2 measure
-
-    clear_caches()  # drop memory; disk must serve both phases
-    _, rewarm = execute_population(warmup=1500, **kwargs)
-    assert rewarm.executed == 0
-    assert rewarm.cache_hits == rewarm.tasks_total == 4
+def test_materialized_trace_warmup_traces_only_the_suffix():
+    spec = TraceSpec("specint_like", 11, 5000)
+    from_spec = repro.run(spec, "M6", warmup=1500, trace_to=True)
+    from_trace = repro.run(spec.build(), "M6", warmup=1500, trace_to=True)
+    assert min(e.index for e in from_trace.events
+               if isinstance(e, InstEvent)) == 1500
+    assert events_to_jsonl(from_trace.events) == \
+        events_to_jsonl(from_spec.events)
