@@ -20,6 +20,10 @@ The fingerprint of a task hashes its *entire* payload (full nested config
 dict included) together with the package version and an engine schema
 version, so any config field change, trace change, model release, or
 result-format change invalidates cached entries by construction.
+
+The module also keeps the per-process memos: built and compiled traces,
+and the warmup checkpoints of ``repro.run(warmup=N)``
+(:func:`warmup_checkpoint`), which no task reads.
 """
 
 from __future__ import annotations
@@ -326,7 +330,8 @@ def task_instructions(payload: Dict[str, Any]) -> int:
 
 
 def execute_task(payload: Dict[str, Any]) -> Dict[str, Any]:
-    """Run one task payload to completion (worker-process entry point)."""
+    """Run one task payload through its kind's executor (the body of
+    :func:`execute_task_heartbeat`, which the engine's workers run)."""
     try:
         runner = _EXECUTORS[payload["kind"]]
     except KeyError:

@@ -244,7 +244,11 @@ def test_kind_hit_rates_all_cached_on_rerun(tmp_path):
                   generations=("M1",), cache="disk", cache_dir=tmp_path)
     from repro.engine import clear_caches
     clear_caches()  # cold start: earlier tests share these fingerprints
-    execute_population(**kwargs)
+    _result, cold = execute_population(**kwargs)
+    assert cold.kind_stats["population"] == {"hits": 0, "executed": 2}
+    assert any("population" in line and "0.0% hit" in line
+               for line in kind_hit_rates(cold.kind_stats))
+    assert "cache hit-rate by task kind" in describe_profile(cold)
     clear_caches()  # drop the memory tier: rerun hits the disk tier
     _result, warm = execute_population(**kwargs)
     assert warm.kind_stats["population"] == {"hits": 2, "executed": 0}
