@@ -58,9 +58,10 @@ class SetAssocCache:
         self.num_entries = size_bytes // self.sector_bytes
         self.ways = min(ways, self.num_entries)
         self.num_sets = max(1, self.num_entries // self.ways)
-        self._sets: List["OrderedDict[int, CacheLine]"] = [
-            OrderedDict() for _ in range(self.num_sets)
-        ]
+        #: Per-set LRU order, oldest first; a set's ``OrderedDict`` is
+        #: made at its first fill, and ``None`` marks a set never filled.
+        self._sets: List[Optional["OrderedDict[int, CacheLine]"]] = (
+            [None] * self.num_sets)
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -94,7 +95,7 @@ class SetAssocCache:
         """
         sector = self.sector_base(addr)
         s = self._sets[self._set_index(sector)]
-        entry = s.get(sector)
+        entry = s.get(sector) if s is not None else None
         if entry is not None and entry.valid_mask & self._subline_bit(addr):
             if update_lru:
                 s.move_to_end(sector)
@@ -122,6 +123,8 @@ class SetAssocCache:
         sector = self.sector_base(addr)
         set_idx = self._set_index(sector)
         s = self._sets[set_idx]
+        if s is None:
+            s = self._sets[set_idx] = OrderedDict()
         bit = self._subline_bit(addr)
         entry = s.get(sector)
         if entry is not None:
@@ -156,15 +159,16 @@ class SetAssocCache:
         """Remove (and return) the sector covering ``addr``, if resident."""
         sector = self.sector_base(addr)
         s = self._sets[self._set_index(sector)]
-        return s.pop(sector, None)
+        return s.pop(sector, None) if s is not None else None
 
     def iter_lines(self) -> Iterator[CacheLine]:
         for s in self._sets:
-            yield from s.values()
+            if s is not None:
+                yield from s.values()
 
     @property
     def resident_count(self) -> int:
-        return sum(len(s) for s in self._sets)
+        return sum(len(s) for s in self._sets if s is not None)
 
     @property
     def hit_rate(self) -> float:
@@ -185,7 +189,7 @@ class SetAssocCache:
                     "hit_count": line.hit_count,
                     "reallocated": line.reallocated,
                     "rrpv": line.rrpv,
-                }] for sector, line in s.items()]
+                }] for sector, line in (s or {}).items()]
                 for s in self._sets
             ],
             "hits": self.hits,
@@ -200,7 +204,7 @@ class SetAssocCache:
             raise ValueError(
                 f"{self.name}: checkpoint has {len(sets)} sets, this "
                 f"geometry {self.num_sets}")
-        rebuilt: List["OrderedDict[int, CacheLine]"] = []
+        rebuilt: List[Optional["OrderedDict[int, CacheLine]"]] = []
         for s in sets:
             out: "OrderedDict[int, CacheLine]" = OrderedDict()
             for sector, d in s:
@@ -214,7 +218,7 @@ class SetAssocCache:
                     reallocated=bool(d["reallocated"]),
                     rrpv=int(d["rrpv"]),
                 )
-            rebuilt.append(out)
+            rebuilt.append(out or None)
         self._sets = rebuilt
         self.hits = int(state["hits"])
         self.misses = int(state["misses"])

@@ -31,9 +31,10 @@ class Tlb:
         self.num_entries = cfg.entries
         self.ways = min(cfg.ways, cfg.entries)
         self.num_sets = max(1, cfg.entries // self.ways)
-        self._sets: List["OrderedDict[int, bool]"] = [
-            OrderedDict() for _ in range(self.num_sets)
-        ]
+        #: Per-set LRU order, oldest first; a set's ``OrderedDict`` is
+        #: made at its first fill, and ``None`` marks a set never filled.
+        self._sets: List[Optional["OrderedDict[int, bool]"]] = (
+            [None] * self.num_sets)
         self.hits = 0
         self.misses = 0
 
@@ -46,7 +47,7 @@ class Tlb:
     def probe(self, addr: int) -> bool:
         key = self._key(addr)
         s = self._sets[self._set_index(key)]
-        if key in s:
+        if s is not None and key in s:
             s.move_to_end(key)
             self.hits += 1
             return True
@@ -55,7 +56,10 @@ class Tlb:
 
     def fill(self, addr: int) -> None:
         key = self._key(addr)
-        s = self._sets[self._set_index(key)]
+        set_idx = self._set_index(key)
+        s = self._sets[set_idx]
+        if s is None:
+            s = self._sets[set_idx] = OrderedDict()
         s[key] = True
         s.move_to_end(key)
         while len(s) > self.ways:
@@ -70,7 +74,7 @@ class Tlb:
 
     def state_dict(self) -> dict[str, object]:
         return {
-            "sets": [[key for key in s] for s in self._sets],
+            "sets": [list(s or ()) for s in self._sets],
             "hits": self.hits,
             "misses": self.misses,
         }
@@ -81,8 +85,8 @@ class Tlb:
             raise ValueError(
                 f"{self.name}: checkpoint has {len(sets)} sets, this "
                 f"geometry {self.num_sets}")
-        self._sets = [OrderedDict((int(key), True) for key in s)
-                      for s in sets]
+        self._sets = [OrderedDict((int(key), True) for key in s) if s
+                      else None for s in sets]
         self.hits = int(state["hits"])
         self.misses = int(state["misses"])
 
