@@ -340,15 +340,15 @@ def execute_task(payload: Dict[str, Any]) -> Dict[str, Any]:
 
 
 def execute_task_heartbeat(payload: Dict[str, Any]
-                           ) -> Tuple[Dict[str, Any], float, int,
+                           ) -> Tuple[Dict[str, Any], float,
                                       Dict[str, float]]:
-    """Run one task payload and return ``(result, wall seconds, pid,
+    """Run one task payload and return ``(result, wall seconds,
     trace-stats delta)`` — the function the engine's workers run.
 
-    The ``(seconds, pid)`` pair is the worker-side half of an engine
-    telemetry heartbeat (:mod:`repro.observe.telemetry`): it rides the
-    ordinary result channel back to the host, which stamps arrival time
-    and task context.  The fourth element is the delta of
+    The seconds are the worker-side half of an engine telemetry
+    heartbeat (:mod:`repro.observe.telemetry`): they ride the ordinary
+    result channel back to the host, which stamps arrival time.  The
+    third element is the delta of
     :data:`_TRACE_STATS` across the task (only changed keys) — the
     host folds it into ``EngineStats.trace_stats``/``phase_breakdown``.
     Everything travels *beside* the result, so cached result payloads
@@ -362,4 +362,4 @@ def execute_task_heartbeat(payload: Dict[str, Any]
     after = trace_stats_snapshot()
     delta = {k: after[k] - before.get(k, 0)
              for k in after if after[k] != before.get(k, 0)}
-    return result, seconds, os.getpid(), delta
+    return result, seconds, delta

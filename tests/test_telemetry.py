@@ -49,8 +49,8 @@ def test_on_result_accounting_and_throughput():
     clock = FakeClock()
     m = _monitor(total=4, clock=clock)
     clock.now += 2.0
-    m.on_result("t1", "population", 1.5, pid=10, instructions=1000)
-    m.on_result("t2", "population", 0.0, pid=11, cached=True)
+    m.on_result(1.5, instructions=1000)
+    m.on_result(0.0, cached=True)
     assert m.done == 2 and m.executed == 1 and m.cached == 1
     assert m.instructions == 1000
     assert m.tasks_per_second() == pytest.approx(1.0)
@@ -60,13 +60,13 @@ def test_on_result_accounting_and_throughput():
 def test_eta_projects_from_executed_tasks_only():
     m = _monitor(total=4, workers=2)
     assert m.eta_seconds() is None  # nothing executed yet
-    m.on_result("t1", "population", 0.0, pid=1, cached=True)
+    m.on_result(0.0, cached=True)
     assert m.eta_seconds() is None  # cache hits predict nothing
-    m.on_result("t2", "population", 3.0, pid=1)
+    m.on_result(3.0)
     # 2 remaining * 3s each / 2 workers
     assert m.eta_seconds() == pytest.approx(3.0)
-    m.on_result("t3", "population", 1.0, pid=1)
-    m.on_result("t4", "population", 1.0, pid=1)
+    m.on_result(1.0)
+    m.on_result(1.0)
     assert m.eta_seconds() == 0.0
 
 
@@ -75,7 +75,7 @@ def test_suspected_hung_and_single_warning_per_episode():
     emitted = []
     config = TelemetryConfig(hang_threshold=5.0, emit=emitted.append)
     m = _monitor(total=2, config=config, clock=clock)
-    m.on_result("t1", "population", 0.1, pid=1)
+    m.on_result(0.1)
     assert m.suspected_hung() is False
 
     clock.now += 10.0  # one task outstanding, channel silent
@@ -86,7 +86,7 @@ def test_suspected_hung_and_single_warning_per_episode():
     assert "worker suspected hung" in m.warnings[0]
     assert emitted == m.warnings
 
-    m.on_result("t2", "population", 0.1, pid=1)  # activity clears it
+    m.on_result(0.1)  # activity clears it
     assert m.suspected_hung() is False
     assert m.finished is False
 
@@ -95,7 +95,7 @@ def test_no_hang_flag_when_done_or_finished():
     clock = FakeClock()
     config = TelemetryConfig(hang_threshold=1.0)
     m = _monitor(total=1, config=config, clock=clock)
-    m.on_result("t1", "population", 0.1, pid=1)
+    m.on_result(0.1)
     clock.now += 100.0
     assert m.suspected_hung() is False  # all tasks done
     m.poll()
@@ -105,7 +105,7 @@ def test_no_hang_flag_when_done_or_finished():
 def test_status_document_schema():
     clock = FakeClock()
     m = _monitor(total=2, workers=2, clock=clock)
-    m.on_result("t1", "population", 1.0, pid=1, instructions=500)
+    m.on_result(1.0, instructions=500)
     clock.now += 2.0
     doc = m.status()
     assert doc["schema"] == TELEMETRY_SCHEMA_VERSION
@@ -120,7 +120,7 @@ def test_status_document_schema():
 
 def test_render_line_mentions_progress_and_eta():
     m = _monitor(total=4)
-    m.on_result("t1", "population", 2.0, pid=1)
+    m.on_result(2.0)
     line = m.render_line()
     assert "1/4 tasks" in line and "eta" in line
 
