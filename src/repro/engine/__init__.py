@@ -25,7 +25,6 @@ from .cache import (  # noqa: F401
     CACHE_MODES,
     TaskCache,
     clear_disk,
-    clear_memory,
     default_cache_dir,
 )
 from .results import (  # noqa: F401

@@ -19,7 +19,7 @@ from repro.core.scoreboard import _PortGroup
 from repro.engine import execute_population
 from repro.engine.cache import CTRACE_DIRNAME, CompiledTraceStore
 from repro.engine.runner import clear_caches
-from repro.engine.tasks import _CTRACE_MEMO, _TRACE_MEMO, _build_compiled
+from repro.engine.tasks import _build_compiled
 from repro.traces import TraceSpec, make_trace
 from repro.traces.compiled import (CompiledTraceError, compile_trace,
                                    compiled_fingerprint, dump_bytes,
@@ -152,7 +152,7 @@ def test_build_compiled_regenerates_over_corrupt_store(monkeypatch,
                                                        tmp_path):
     _store_env(monkeypatch, tmp_path)
     spec = TraceSpec(family="specint_like", seed=21, n_instructions=1200)
-    _CTRACE_MEMO.clear()
+    clear_caches()
     first = _build_compiled(spec.to_dict())
     blobs = list(tmp_path.glob(f"{CTRACE_DIRNAME}/*/*.ctrace"))
     assert len(blobs) == 1
@@ -160,7 +160,7 @@ def test_build_compiled_regenerates_over_corrupt_store(monkeypatch,
     # Corrupt the blob; a fresh process (cleared memo) must fall back to
     # regeneration, produce identical records, and rewrite the entry.
     blobs[0].write_bytes(b"RPCT garbage that is not a compiled trace")
-    _CTRACE_MEMO.clear()
+    clear_caches()
     again = _build_compiled(spec.to_dict())
     assert _all_fields(again) == _all_fields(first)
     repaired = blobs[0].read_bytes()
@@ -171,9 +171,9 @@ def test_build_compiled_regenerates_over_corrupt_store(monkeypatch,
 def test_store_disk_hit_skips_regeneration(monkeypatch, tmp_path):
     _store_env(monkeypatch, tmp_path)
     spec = TraceSpec(family="pointer_chase", seed=8, n_instructions=1000)
-    _CTRACE_MEMO.clear()
+    clear_caches()
     first = _build_compiled(spec.to_dict())
-    _CTRACE_MEMO.clear()  # simulate a fresh worker process
+    clear_caches()  # simulate a fresh worker process
     from repro.engine.tasks import _TRACE_STATS
     before = dict(_TRACE_STATS)
     second = _build_compiled(spec.to_dict())
@@ -188,8 +188,6 @@ def test_cache_dir_roots_the_compiled_trace_store(monkeypatch, tmp_path):
     root, env_root = tmp_path / "a", tmp_path / "b"
     _store_env(monkeypatch, env_root)
     clear_caches()
-    for memo in (_TRACE_MEMO, _CTRACE_MEMO):
-        memo.clear()
     execute_population(n_slices=2, slice_length=1000, generations=["M1"],
                        cache="disk", cache_dir=root, ledger=False)
     assert len(list(root.glob("tasks/*/*.json"))) == 2

@@ -23,7 +23,7 @@ import pytest
 import repro
 from repro.config import GENERATION_ORDER
 from repro.core import GenerationSimulator
-from repro.engine import tasks
+from repro.engine import clear_caches
 from repro.metrics import WINDOW_COUNTERS
 from repro.observe.events import InstEvent, events_to_jsonl
 from repro.observe.sink import TraceSink
@@ -142,7 +142,7 @@ def test_one_checkpoint_restores_many_times():
 def test_run_warmup_is_bit_identical_and_memoized(monkeypatch):
     spec = ("loop_kernel", 5, 5000)
     base = repro.run(spec, "M5")
-    tasks._WARMUP_MEMO.clear()
+    clear_caches()
     simulated = []
     real_run = GenerationSimulator.run
 
