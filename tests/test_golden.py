@@ -10,8 +10,9 @@ the engine, the gshare/bimodal baselines, ``BranchUnit.run_trace`` and
 the Section V context-switch policies), window series of counters the
 front end owns, uninterrupted and resumed from a checkpoint, and
 shared-L2 contention (``corunners``) on the memory hierarchy alone and
-in full runs, plain and ``warmup=``, and the bytes of checkpoint
-documents (mid-run, freshly built, and the memory hierarchy's alone).
+in full runs, plain and ``warmup=``, the bytes of checkpoint
+documents (mid-run, freshly built, and the memory hierarchy's alone),
+and full runs on issue-port-count variants, uninterrupted and resumed.
 
 A mismatch prints a cell-level diff.  Regenerate only in a change that
 means to move results, and say so in it:
@@ -26,6 +27,7 @@ import multiprocessing
 import random
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -48,6 +50,7 @@ from repro.serialization import population_to_json
 from repro.state import checkpoint_to_json
 from repro.traces import ProgramWalker
 from repro.traces.spec import TraceSpec
+from repro.traces.types import Kind, Trace, TraceRecord
 from repro.traces.workloads import cbp5_suite_specs, specint_like
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
@@ -110,6 +113,21 @@ CORUNNER_RUNS = ("corunners:web_like:3:5000", TraceSpec("web_like", 3, 5000),
 CHECKPOINTS = ("checkpoints:sha256", 1700,
                (("M1", 0), ("M1", 3), ("M3", 0), ("M4", 0), ("M5", 1),
                 ("M6", 0)), ("M4", "M6"), "M3")
+#: Issue-port-count variants: (label, the instruction a resumed run is
+#: cut at, the configs by name).  "M1 narrow" leaves one simple ALU and
+#: one FP pipe; "M6 wide"'s simple group has 8 ports, more than any
+#: generation (examples/design_exploration.py's M7 also widens it).
+PORTS = ("ports:specfp_like:5:3000+mixed:23:3000", 1500, {
+    "M1": get_generation("M1"),
+    "M1 narrow": replace(get_generation("M1"), simple_alus=1, fp_pipes=1),
+    "M6 wide": replace(get_generation("M6"), simple_alus=6, load_pipes=3,
+                       fp_pipes=6, fmac_pipes=6),
+})
+#: Kind weights of :func:`mixed_trace`: DIV is 1 record in 36, so the
+#: other port groups still bind.
+MIXED_KINDS = ((Kind.ALU, 10), (Kind.MUL, 3), (Kind.DIV, 1), (Kind.MOV, 4),
+               (Kind.FP_ADD, 3), (Kind.FP_MUL, 3), (Kind.FP_MAC, 3),
+               (Kind.LOAD, 6), (Kind.STORE, 3))
 
 
 def dump(doc) -> str:
@@ -123,8 +141,7 @@ def population_archive(workers: int = 1) -> str:
         cache="off"), indent=1) + "\n"
 
 
-def _resumed(spec: TraceSpec, gen: str, cut: int = 1700, **kwargs):
-    trace = spec.build()
+def _resumed(trace: Trace, gen, cut: int = 1700, **kwargs):
     first = GenerationSimulator(gen)
     first.run(trace.slice(0, cut), finalize=False, **kwargs)
     sim = GenerationSimulator(gen)
@@ -136,7 +153,7 @@ SNAPSHOT_ROUTES = {
     "spec": lambda spec, gen: repro.run(spec, gen),
     "trace": lambda spec, gen: repro.run(spec.build(), gen),
     "warmup": lambda spec, gen: repro.run(spec, gen, warmup=1500),
-    "checkpoint": _resumed,
+    "checkpoint": lambda spec, gen: _resumed(spec.build(), gen),
 }
 
 
@@ -260,7 +277,7 @@ def frontend_windows(gen: str, route: str = "run") -> list:
     if route == "run":
         r = GenerationSimulator(gen).run(spec.build(), **kwargs)
     else:
-        r = _resumed(spec, gen, cut, **kwargs)
+        r = _resumed(spec.build(), gen, cut, **kwargs)
     return json.loads(dump([w.to_dict() for w in r.windows]))
 
 
@@ -328,6 +345,48 @@ def checkpoint_digest(key: str) -> str:
         checkpoint_to_json(build(*args)).encode()).hexdigest()
 
 
+def mixed_trace(length: int = 3000, seed: int = 23) -> Trace:
+    """A hand-built slice of ``MIXED_KINDS`` with dependence distances.
+    No workload family emits ``DIV``, so only a trace like this one
+    reaches the 12-cycle non-pipelined divide.  The code loops over
+    256 PCs and the data over 8 KiB, so cold misses do not hide port
+    contention: on each ``PORTS`` config, some records of every kind
+    that takes a port wait for one."""
+    rng = random.Random(seed)
+    kinds = [kind for kind, weight in MIXED_KINDS for _ in range(weight)]
+    records = []
+    for i in range(length):
+        kind = rng.choice(kinds)
+        addr = 0
+        if kind in (Kind.LOAD, Kind.STORE):
+            addr = 0x200_0000 + rng.randrange(8 * 1024 // 8) * 8
+        records.append(TraceRecord(
+            0x40_0000 + 4 * (i % 256), kind, addr=addr,
+            src1_dist=rng.choice((0, 0, 0, 1, 2, 5, 9, 20)),
+            src2_dist=rng.choice((0, 0, 0, 0, 3, 12, 40))))
+    return Trace(f"mixed:{seed}:{length}", "mixed", records, seed=seed)
+
+
+#: The traces each port variant runs: an FP/FMAC-heavy slice and the
+#: hand-built mix.
+PORT_TRACES = {
+    "specfp_like:5:3000": TraceSpec("specfp_like", 5, 3000).build,
+    "mixed:23:3000": mixed_trace,
+}
+
+
+def port_run(config: str, trace: str, route: str = "run") -> dict:
+    """The full metric map of one port variant on one trace, from one
+    uninterrupted run or resumed from a checkpoint (which restores the
+    port free times)."""
+    cfg = PORTS[2][config]
+    if route == "run":
+        r = repro.run(PORT_TRACES[trace](), cfg)
+    else:
+        r = _resumed(PORT_TRACES[trace](), cfg, PORTS[1])
+    return json.loads(dump(r.metrics.as_dict()))
+
+
 def routes() -> dict:
     return {
         FIG1[0]: fig1_sweep(),
@@ -343,6 +402,9 @@ def routes() -> dict:
                            for gen, k in CORUNNER_RUNS[2]},
         CHECKPOINTS[0]: {key: checkpoint_digest(key)
                          for key in CHECKPOINT_DOCUMENTS},
+        PORTS[0]: {config: {trace: port_run(config, trace)
+                            for trace in PORT_TRACES}
+                   for config in PORTS[2]},
     }
 
 
@@ -506,3 +568,12 @@ def test_checkpoint_document(key):
     if got != want:
         _fail(f"{CHECKPOINTS[0]} {key}",
               f"  {want} -> {got}: the checkpoint document's bytes moved")
+
+
+@pytest.mark.parametrize("config,trace,route", [
+    (config, trace, route) for config in PORTS[2] for trace in PORT_TRACES
+    for route in ("run", "resumed")])
+def test_port_variant(config, trace, route):
+    _check_values(f"{PORTS[0]} {config} {trace} ({route})",
+                  _routes(PORTS[0])[config][trace],
+                  port_run(config, trace, route))
