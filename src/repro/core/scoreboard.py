@@ -58,6 +58,11 @@ _KIND_NAMES = tuple(Kind(k).name for k in range(16))
 _BUCKET_NAMES = ("base", "frontend_bubbles", "memory", "mispredict")
 
 
+def _ports(count: int) -> List[float]:
+    """A port group: each port's next free cycle, at least one port."""
+    return [0.0] * max(1, count)
+
+
 class CoreStats(StatsView):
     """Registry-backed view of the ``core.*`` stats hierarchy."""
 
@@ -85,60 +90,6 @@ class CoreStats(StatsView):
         ("core.mpki", ("core.branch_mispredicts", "core.instructions"),
          formulas.mpki),
     )
-
-
-class _PortGroup:
-    """A set of identical pipelined execution ports.
-
-    ``issue`` used to rescan all ports for the minimum on every call
-    (O(ports) per instruction).  It now keeps a two-slot min tracker:
-    ``_best`` is the index of the lexicographic ``(free time, index)``
-    minimum — exactly the port the old first-minimum scan picked — and
-    ``_second`` the same minimum over the remaining ports.  Issuing
-    only bumps ``free[_best]``; a full rescan happens only when the
-    bumped port falls behind the runner-up.  Issue order is
-    bit-identical to the scan (pinned by
-    ``tests/test_fastpath.py::test_port_group_matches_reference_scan``).
-    """
-
-    __slots__ = ("free", "_best", "_second")
-
-    def __init__(self, count: int) -> None:
-        self.free = [0.0] * max(1, count)
-        self._rescan()
-
-    def _rescan(self) -> None:
-        """Recompute the two tracked minima (call after any bulk edit
-        of ``free``, e.g. a checkpoint restore)."""
-        free = self.free
-        best = 0
-        for i in range(1, len(free)):
-            if free[i] < free[best]:
-                best = i
-        second = -1
-        for i in range(len(free)):
-            if i != best and (second < 0 or free[i] < free[second]):
-                second = i
-        self._best = best
-        self._second = second
-
-    def issue(self, ready: float, occupancy: float = 1.0) -> float:
-        """Issue at the earliest port; returns the issue time."""
-        best = self._best
-        free = self.free
-        t = free[best]
-        if ready > t:
-            t = ready
-        free[best] = t + occupancy
-        second = self._second
-        if second >= 0:
-            ts = free[second]
-            nt = free[best]
-            # The bumped port keeps first-minimum only while it still
-            # precedes the runner-up lexicographically by (time, index).
-            if ts < nt or (ts == nt and second < best):
-                self._rescan()
-        return t
 
 
 class Scoreboard:
@@ -177,16 +128,16 @@ class Scoreboard:
                       lambda: self.icache.fill_stall_cycles)
 
         c = config
-        self._simple = _PortGroup(c.simple_alus + c.complex_alus
-                                  + c.complex_div_alus)
-        self._complex = _PortGroup(c.complex_alus + c.complex_div_alus)
-        self._div = _PortGroup(c.complex_div_alus)
-        self._branch = _PortGroup(c.branch_pipes + c.complex_alus
-                                  + c.complex_div_alus)
-        self._load = _PortGroup(c.load_pipes + c.generic_mem_pipes)
-        self._store = _PortGroup(c.store_pipes + c.generic_mem_pipes)
-        self._fp = _PortGroup(c.fp_pipes)
-        self._fmac = _PortGroup(c.fmac_pipes)
+        self._simple = _ports(c.simple_alus + c.complex_alus
+                              + c.complex_div_alus)
+        self._complex = _ports(c.complex_alus + c.complex_div_alus)
+        self._div = _ports(c.complex_div_alus)
+        self._branch = _ports(c.branch_pipes + c.complex_alus
+                              + c.complex_div_alus)
+        self._load = _ports(c.load_pipes + c.generic_mem_pipes)
+        self._store = _ports(c.store_pipes + c.generic_mem_pipes)
+        self._fp = _ports(c.fp_pipes)
+        self._fmac = _ports(c.fmac_pipes)
 
         # Resumable execution state: `run` works on local aliases of these
         # for speed and writes the scalars back when the segment ends, so
@@ -219,7 +170,7 @@ class Scoreboard:
         lat[int(Kind.FP_ADD)] = fadd
         lat[int(Kind.FP_MUL)] = fmul
         lat[int(Kind.FP_MAC)] = fmac
-        port: List[Optional[_PortGroup]] = [self._branch] * 16
+        port: List[Optional[List[float]]] = [self._branch] * 16
         port[int(Kind.ALU)] = self._simple
         port[int(Kind.NOP)] = self._simple
         port[int(Kind.MOV)] = None if zcm else self._simple
@@ -382,13 +333,17 @@ class Scoreboard:
                         ready = t
 
                 # ---- issue + execute -------------------------------------
+                # At the group's first earliest-free port; a divide holds
+                # its port for its whole latency (not pipelined).
                 port = port_for[k]
                 if port is None:
                     issue = ready
                     c_zcm.value += 1
                 else:
-                    issue = port.issue(ready,
-                                       _LAT_DIV if k == kdiv else 1.0)
+                    t = min(port)
+                    p = port.index(t)
+                    issue = ready if ready > t else t
+                    port[p] = issue + (_LAT_DIV if k == kdiv else 1.0)
                 if k == kload:
                     c_loads.value += 1
                     if memory is not None:
@@ -536,7 +491,7 @@ class Scoreboard:
 
     def state_dict(self) -> dict[str, object]:
         return {
-            "ports": {name: list(getattr(self, name).free)
+            "ports": {name: list(getattr(self, name))
                       for name in self._PORT_GROUPS},
             "completions": list(self._completions),
             "is_load_at": list(self._is_load_at),
@@ -555,12 +510,11 @@ class Scoreboard:
         for name in self._PORT_GROUPS:
             group = getattr(self, name)
             free = state["ports"][name]
-            if len(free) != len(group.free):
+            if len(free) != len(group):
                 raise ValueError(
-                    f"scoreboard: port group {name} has {len(group.free)} "
+                    f"scoreboard: port group {name} has {len(group)} "
                     f"ports, checkpoint has {len(free)}")
-            group.free[:] = [float(t) for t in free]
-            group._rescan()
+            group[:] = [float(t) for t in free]
         if len(state["rob"]) != len(self._rob):
             raise ValueError(
                 f"scoreboard: ROB size {len(self._rob)} != checkpoint "

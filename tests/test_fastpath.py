@@ -2,28 +2,30 @@
 (docs/performance.md).
 
 The compiled-trace binary format round-trips and fails closed (corrupt
-store entries regenerate), the two-slot port tracker issues
-bit-identically to the O(ports) scan, and run throughput reaches
-engine stats, the ledger and the CLI.  The simulated results themselves
-are pinned by ``tests/test_golden.py``.
+store entries regenerate), the scoreboard loop issues every instruction
+at the cycle a reference first-minimum port scan picks, and run
+throughput reaches engine stats, the ledger and the CLI.  The simulated
+results themselves are pinned by ``tests/test_golden.py``.
 """
 
 from __future__ import annotations
 
-import random
-
 import pytest
 
 import repro
-from repro.core.scoreboard import _PortGroup
+from repro.config import get_generation
+from repro.core import GenerationSimulator
 from repro.engine import execute_population
 from repro.engine.cache import CTRACE_DIRNAME, CompiledTraceStore
 from repro.engine.runner import clear_caches
 from repro.engine.tasks import _build_compiled
+from repro.observe.events import InstEvent
 from repro.traces import TraceSpec, make_trace
 from repro.traces.compiled import (CompiledTraceError, compile_trace,
                                    compiled_fingerprint, dump_bytes,
                                    load_bytes)
+from repro.traces.types import Kind
+from tests.test_golden import PORTS, mixed_trace
 
 
 def _fields(rec):
@@ -37,12 +39,12 @@ def _all_fields(trace_like):
 
 
 # ---------------------------------------------------------------------------
-# Port group: two-slot tracker == reference first-minimum scan
+# Issue ports: the loop == reference first-minimum scan
 # ---------------------------------------------------------------------------
 
 class _NaivePortGroup:
-    """The pre-optimisation issue policy: rescan every port, pick the
-    first minimum."""
+    """The reference issue policy: scan every port, pick the first
+    minimum."""
 
     def __init__(self, count):
         self.free = [0.0] * max(1, count)
@@ -57,23 +59,27 @@ class _NaivePortGroup:
         return t
 
 
-@pytest.mark.parametrize("ports", [1, 2, 3, 4])
-def test_port_group_matches_reference_scan(ports):
-    rng = random.Random(1234 + ports)
-    tracked, ref = _PortGroup(ports), _NaivePortGroup(ports)
-    ready = 0.0
-    for _ in range(3000):
-        ready = max(0.0, ready + rng.uniform(-0.5, 1.5))
-        occupancy = rng.choice([1.0, 1.0, 2.0, 12.0])
-        assert tracked.issue(ready, occupancy) == ref.issue(ready, occupancy)
-        assert tracked.free == ref.free
-
-
-def test_port_group_rescan_after_bulk_edit():
-    group = _PortGroup(3)
-    group.free[:] = [7.0, 2.0, 5.0]
-    group._rescan()
-    assert group.issue(0.0) == 2.0  # picks the true minimum, port 1
+@pytest.mark.parametrize("config", ["M1", "M4", "M6 wide"])
+def test_loop_issues_at_reference_port_scan(config):
+    cfg = PORTS[2].get(config) or get_generation(config)
+    _, ports = GenerationSimulator(cfg).scoreboard._dispatch_tables()
+    groups = {}
+    ref = [None if p is None
+           else groups.setdefault(id(p), _NaivePortGroup(len(p)))
+           for p in ports]
+    events = [e for e in repro.run(mixed_trace(), cfg, trace_to=True).events
+              if isinstance(e, InstEvent)]
+    assert len(events) == 3000
+    waited = 0
+    for e in events:
+        group = ref[Kind[e.kind]]
+        if group is None:  # a zero-cycle move takes no port
+            assert e.issue == e.ready
+            continue
+        want = group.issue(e.ready, 12.0 if e.kind == "DIV" else 1.0)
+        assert e.issue == want, (e.index, e.kind)
+        waited += e.issue > e.ready
+    assert waited  # some issues waited for a port
 
 
 # ---------------------------------------------------------------------------
