@@ -142,15 +142,9 @@ class SetAssocCache:
             self.evictions += 1
         entry = CacheLine(address=sector, valid_mask=bit, dirty=dirty,
                           prefetched=prefetched, reallocated=reallocated)
-        if insert_lru and s:
-            # Rebuild with the new entry in LRU position.
-            items = list(s.items())
-            s.clear()
-            s[sector] = entry
-            for k, v in items:
-                s[k] = v
-        else:
-            s[sector] = entry
+        s[sector] = entry
+        if insert_lru:
+            s.move_to_end(sector, last=False)
         if prefetched:
             self.prefetch_fills += 1
         return victim
