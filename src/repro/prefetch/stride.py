@@ -172,14 +172,14 @@ class MultiStridePrefetcher:
         was_locked = stream.locked
         old_pattern = stream.pattern
         stream.pattern = None
-        self._lock(stream)
+        stream._detect()
         if not stream.locked:
             return []
         if not was_locked or stream.pattern != old_pattern:
             # Fresh lock (or pattern change): frontier restarts at demand.
             stream.frontier = line_addr
             stream.pattern_pos = 0
-            if isinstance(stream.confirm_queue, IntegratedConfirmationQueue):
+            if self.integrated:
                 stream.confirm_queue.prime(line_addr)
         # Demand overtook the frontier: skip ahead (Section VII-B).
         if stream.frontier < line_addr:
@@ -193,19 +193,12 @@ class MultiStridePrefetcher:
         max_frontier = line_addr + degree * step
         out: List[int] = []
         while stream.frontier < max_frontier and len(out) < degree:
-            stream.frontier = self._advance(stream, stream.frontier)
+            stream.frontier = stream._advance_from(stream.frontier)
             out.append(stream.frontier - stream.frontier % self.line_bytes)
-            if not isinstance(stream.confirm_queue,
-                              IntegratedConfirmationQueue):
+            if not self.integrated:
                 stream.confirm_queue.note_prefetch(out[-1])
         self.issued += len(out)
         return out
-
-    def _lock(self, stream: StrideStream) -> None:
-        stream._detect()
-
-    def _advance(self, stream: StrideStream, addr: int) -> int:
-        return stream._advance_from(addr)
 
     # -- checkpointing (state_dict protocol) --------------------------------
 
