@@ -82,9 +82,14 @@ class WindowSample:
     @property
     def stall_cycles(self) -> Dict[str, float]:
         """Per-bucket stall cycles attributed inside this window, with
-        ``base`` as the unattributed residual (clamped at 0; attribution
-        is per-retire while cycles are end-to-end elapsed time, so
-        overlap can push the nominal residual slightly negative)."""
+        ``base`` as the unattributed residual, clamped at 0.
+
+        Attribution is per retire while cycles are elapsed time, so
+        overlapping stalls are counted once per retiring micro-op: the
+        memory bucket alone can exceed the cycles several times over
+        (up to 6.6x a run's cycles, ROADMAP direction 7).  The clamp
+        hides that over-attribution; it does not make the buckets sum
+        to the cycles."""
         out = {bucket: float(self.values.get(counter, 0))
                for bucket, counter in STALL_WINDOW_COUNTERS.items()}
         cycles = float(self.values.get("core.cycles", 0))
