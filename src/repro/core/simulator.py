@@ -94,6 +94,8 @@ class GenerationSimulator:
         self.trace_sink = trace_sink
         held = HeldEvents() if trace_sink is not None else None
         self.ledger = EnergyLedger(registry=self.metrics)
+        self._c_icache_fetch = self.ledger.cell("icache_fetch")
+        self._c_decode = self.ledger.cell("decode")
         self.branch_unit = BranchUnit(config, ledger=self.ledger,
                                       registry=self.metrics,
                                       sink=held)
@@ -202,8 +204,8 @@ class GenerationSimulator:
 
     def _charge_block(self, *_) -> None:
         """Per-block hook without a UOC: one I-cache fetch and decode."""
-        self.ledger.record("icache_fetch")
-        self.ledger.record("decode")
+        self._c_icache_fetch.value += 1
+        self._c_decode.value += 1
 
     def _uoc_on_branch(self, rec: TraceRecord, index: int) -> None:
         """Feed the basic block ended by ``rec`` into the UOC mode

@@ -150,7 +150,7 @@ def trace_stats_snapshot() -> Dict[str, float]:
 #: trace-major (all generations of a trace adjacent), so a small LRU lets
 #: a worker regenerate each trace once instead of once per generation.
 _TRACE_MEMO: "OrderedDict[Tuple[str, int, int], Trace]" = OrderedDict()
-_TRACE_MEMO_CAP = 16
+_TRACE_MEMO_ENTRIES = 16
 
 
 def _build_trace(spec_dict: Dict[str, Any]) -> Trace:
@@ -163,7 +163,7 @@ def _build_trace(spec_dict: Dict[str, Any]) -> Trace:
         _TRACE_STATS["generate_seconds"] += time.perf_counter() - t0
         _TRACE_STATS["generated"] += 1
         _TRACE_MEMO[key] = trace
-        while len(_TRACE_MEMO) > _TRACE_MEMO_CAP:
+        while len(_TRACE_MEMO) > _TRACE_MEMO_ENTRIES:
             _TRACE_MEMO.popitem(last=False)
     else:
         _TRACE_MEMO.move_to_end(key)
@@ -212,7 +212,7 @@ def _build_compiled(spec_dict: Dict[str, Any],
         if store is not None:
             store.put(fp, compiled)
     _CTRACE_MEMO[key] = compiled
-    while len(_CTRACE_MEMO) > _TRACE_MEMO_CAP:
+    while len(_CTRACE_MEMO) > _TRACE_MEMO_ENTRIES:
         _CTRACE_MEMO.popitem(last=False)
     return compiled
 
@@ -223,7 +223,7 @@ def _build_compiled(spec_dict: Dict[str, Any],
 #: sweeps, A/B reruns — restore it instead of re-simulating it.
 _WARMUP_MEMO: "OrderedDict[Tuple[Any, ...], Dict[str, Any]]" = \
     OrderedDict()
-_WARMUP_MEMO_CAP = 16
+_WARMUP_MEMO_ENTRIES = 16
 
 
 def warmup_checkpoint(config: GenerationConfig,
@@ -249,7 +249,7 @@ def warmup_checkpoint(config: GenerationConfig,
     doc = sim.save_state()
     if key is not None:
         _WARMUP_MEMO[key] = doc
-        while len(_WARMUP_MEMO) > _WARMUP_MEMO_CAP:
+        while len(_WARMUP_MEMO) > _WARMUP_MEMO_ENTRIES:
             _WARMUP_MEMO.popitem(last=False)
     return doc
 

@@ -150,9 +150,10 @@ _ROW_KINDS = frozenset(int(k) for k in (
 
 
 class BranchStream:
-    """A compiled trace's branches in the order the SHP pushes them: per
-    branch its PC, a flag (``2 * conditional + taken``, plus 4 when it
-    has a row) and its row number (-1 without a row)."""
+    """A compiled trace's branches in order: per branch its PC, a flag
+    (``2 * conditional + taken``, plus 4 when it has an SHP row) and its
+    SHP row number (-1 without a row).  The SHP and the LHP build their
+    rows from one stream per trace (:meth:`of`)."""
 
     __slots__ = ("pcs", "flags", "row_of")
 
@@ -176,6 +177,15 @@ class BranchStream:
             self.pcs.append(pcs[j])
             self.flags.append(flag)
             self.row_of.append(row)
+
+    @classmethod
+    def of(cls, trace: "CompiledTrace") -> "BranchStream":
+        """``trace``'s stream, built at first use and kept in its
+        ``derived`` cache."""
+        stream = trace.derived.get("branch.stream")
+        if stream is None:
+            stream = trace.derived["branch.stream"] = cls(trace)
+        return stream
 
 
 class HistoryHash:

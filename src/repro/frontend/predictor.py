@@ -119,6 +119,28 @@ class BranchUnit:
             (None, None)
         self.ledger = (ledger if ledger is not None
                        else EnergyLedger(registry=self.stats.registry))
+        # Hot-path cell aliases: the per-branch stat bumps and energy
+        # events go straight to the registry cells.
+        cell = self.stats.cell
+        self._c_branches = cell("branches")
+        self._c_conditional = cell("conditional_branches")
+        self._c_taken = cell("taken_branches")
+        self._c_mispredicts = cell("mispredicts")
+        self._c_cond_mispredicts = cell("conditional_mispredicts")
+        self._c_ind_mispredicts = cell("indirect_mispredicts")
+        self._c_ret_mispredicts = cell("return_mispredicts")
+        self._c_miss_redirects = cell("btb_miss_redirects")
+        self._c_ras_repairs = cell("ras_repairs")
+        self._c_bubbles = cell("total_bubbles")
+        self._c_mrb_saved = cell("mrb_saved_bubbles")
+        self._c_zero_redirects = cell("zero_bubble_redirects")
+        event = self.ledger.cell
+        self._c_ubtb_lookup = event("ubtb_lookup")
+        self._c_mbtb_lookup = event("mbtb_lookup")
+        self._c_shp_lookup = event("shp_lookup")
+        self._c_shp_update = event("shp_update")
+        self._c_vbtb_lookup = event("vbtb_lookup")
+        self._c_l2btb_fill = event("l2btb_fill")
         self._build_structures(encrypt, decrypt)
         self._bind_structure_gauges()
         #: Whether the previous retired branch was taken (ZAT/ZOT learning).
@@ -257,12 +279,11 @@ class BranchUnit:
         A traced branch's event leaves with ``cycle`` 0.0; the timing
         loop stamps the cycle the core resolved the branch at.
         """
-        stats = self.stats
-        stats.branches += 1
+        self._c_branches.value += 1
         if rec.is_conditional:
-            stats.conditional_branches += 1
+            self._c_conditional.value += 1
         if rec.taken:
-            stats.taken_branches += 1
+            self._c_taken.value += 1
 
         actual_taken = rec.taken
         actual_target = rec.target if rec.taken else 0
@@ -302,14 +323,14 @@ class BranchUnit:
             self.ras.pop()
             self.ras.pop()
             self.ras.restore(snap)
-            self.stats.ras_repairs += 1
-            stats.mispredicts += 1
+            self._c_ras_repairs.value += 1
+            self._c_mispredicts.value += 1
             if rec.is_conditional:
-                stats.conditional_mispredicts += 1
+                self._c_cond_mispredicts.value += 1
             elif rec.kind == Kind.BR_RET:
-                stats.return_mispredicts += 1
+                self._c_ret_mispredicts.value += 1
             elif rec.is_indirect:
-                stats.indirect_mispredicts += 1
+                self._c_ind_mispredicts.value += 1
             # MRB: arm replay / start recording for low-confidence branches.
             if self.mrb.enabled:
                 armed = self.mrb.begin_replay(rec.pc)
@@ -327,9 +348,9 @@ class BranchUnit:
             self.accel.observe_taken(entry)
         self._prev_taken = actual_taken
 
-        stats.total_bubbles += result.bubbles
+        self._c_bubbles.value += result.bubbles
         if result.bubbles == 0 and actual_taken and not result.mispredicted:
-            stats.zero_bubble_redirects += 1
+            self._c_zero_redirects.value += 1
         if self.sink is not None:
             taken_pred, target_pred = self._pred_snapshot
             if result.path == "ubtb":
@@ -365,7 +386,7 @@ class BranchUnit:
         if pred is None:
             return None  # unlocked on unknown branch; fall to main path
         taken_pred, target_pred, gated = pred
-        self.ledger.record("ubtb_lookup")
+        self._c_ubtb_lookup.value += 1
         bubbles = 0
         if rec.kind == Kind.BR_RET:
             ras_target = self.ras.pop()
@@ -375,15 +396,15 @@ class BranchUnit:
             # mBTB/SHP check the uBTB's predictions in the shadow
             # (Section IV-B); a stage-3 disagreement resteers to the SHP's
             # direction at the usual redirect cost.
-            self.ledger.record("mbtb_lookup")
+            self._c_mbtb_lookup.value += 1
             if rec.is_conditional:
-                self.ledger.record("shp_lookup")
+                self._c_shp_lookup.value += 1
                 shadow = self.shp.predict(rec.pc)
                 if shadow.taken != taken_pred:
                     taken_pred = shadow.taken
                     bubbles += self.config.branch.mbtb_taken_bubbles
                 self.shp.update(rec.pc, rec.taken, shadow)
-                self.ledger.record("shp_update")
+                self._c_shp_update.value += 1
         if self.sink is not None:
             self._pred_snapshot = (bool(taken_pred), target_pred)
         mispredicted = (taken_pred != rec.taken) or (
@@ -399,18 +420,18 @@ class BranchUnit:
     def _predict_main(self, rec: TraceRecord) -> BranchResult:
         bp = self.config.branch
         lookup = self.btb.lookup(rec.pc)
-        self.ledger.record("mbtb_lookup")
+        self._c_mbtb_lookup.value += 1
         if lookup.source == "vbtb":
-            self.ledger.record("vbtb_lookup")
+            self._c_vbtb_lookup.value += 1
         elif lookup.source == "l2btb":
-            self.ledger.record("l2btb_fill")
+            self._c_l2btb_fill.value += 1
         entry = lookup.entry
         bubbles = lookup.extra_bubbles
         mispredicted = False
 
         # Direction.
         if rec.is_conditional:
-            self.ledger.record("shp_lookup")
+            self._c_shp_lookup.value += 1
             pred = self.shp.predict(rec.pc)
             taken_pred = pred.taken
         else:
@@ -435,7 +456,7 @@ class BranchUnit:
             # outcome costs a decode-time resteer, not a misprediction.
             if rec.taken:
                 bubbles += DECODE_REDIRECT_BUBBLES
-                self.stats.btb_miss_redirects += 1
+                self._c_miss_redirects.value += 1
         elif taken_pred:
             if rec.taken:
                 if target_pred != rec.target or target_pred is None:
@@ -451,7 +472,7 @@ class BranchUnit:
                     if self.mrb.enabled and bubbles > 0:
                         verdict = self.mrb.verify_next(rec.target)
                         if verdict:
-                            self.stats.mrb_saved_bubbles += bubbles
+                            self._c_mrb_saved.value += bubbles
                             bubbles = 0
             else:
                 mispredicted = True  # predicted taken, was not taken
@@ -473,7 +494,7 @@ class BranchUnit:
         entry.record_outcome(rec.taken)
         if rec.is_conditional:
             self.shp.update(rec.pc, rec.taken, pred)
-            self.ledger.record("shp_update")
+            self._c_shp_update.value += 1
         if rec.is_indirect and rec.kind != Kind.BR_RET:
             self.vpc.update(rec.pc, rec.target)
 
@@ -526,10 +547,11 @@ class BranchUnit:
         their mispredicted flags and fetch bubbles.
 
         ``on_branch(rec, offset + position)`` runs after each branch.  A
-        pass from ``start == 0`` binds the SHP to the trace's history
+        pass from ``start == 0`` binds the SHP and the LHP to the trace's
         rows (the one bind site); instructions are not counted."""
         if start == 0:
             self.shp.bind(trace)
+            self.ubtb.lhp.bind(trace)
         process = self.process_branch  # per pass: a patched-on wrapper sees it
         mispredicted, bubbles = [], []
         records = trace.branch_records()[start:stop]

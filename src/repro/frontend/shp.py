@@ -188,9 +188,7 @@ class ScaledHashedPerceptron:
         the binding ends after its last branch, on
         :meth:`load_state_dict`, or at the next ``bind``."""
         cache = trace.derived
-        stream = cache.get("shp.stream")
-        if stream is None:
-            stream = cache["shp.stream"] = BranchStream(trace)
+        stream = BranchStream.of(trace)
         start = (self._history_key, self.ghist.value, self.phist.value)
         hist = cache.get(("shp.history",) + start)
         if hist is None:

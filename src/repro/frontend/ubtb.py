@@ -66,13 +66,12 @@ class MicroBTB:
     #: Two-cycle startup penalty when the uBTB takes over (Section IV-E).
     STARTUP_BUBBLES = 2
 
-    def __init__(self, entries: int, uncond_only_entries: int = 0,
-                 lhp: Optional[LocalHashedPerceptron] = None) -> None:
+    def __init__(self, entries: int, uncond_only_entries: int = 0) -> None:
         self.capacity = entries
         self.uncond_capacity = uncond_only_entries
         self.nodes: "OrderedDict[int, UBTBNode]" = OrderedDict()
         self.uncond_nodes: "OrderedDict[int, UBTBNode]" = OrderedDict()
-        self.lhp = lhp if lhp is not None else LocalHashedPerceptron()
+        self.lhp = LocalHashedPerceptron()
         self.locked = False
         self._streak = 0
         self._prev: Optional[Tuple[int, bool]] = None  # (pc, taken)
@@ -111,7 +110,6 @@ class MicroBTB:
         else:
             store, cap = self.nodes, self.capacity
         store[pc] = node
-        store.move_to_end(pc)
         while len(store) > cap:
             store.popitem(last=False)
         return node
@@ -128,8 +126,7 @@ class MicroBTB:
         if taken:
             node.taken_target = target
         if node.is_conditional:
-            predicted, _ = self.lhp.predict(pc)
-            if predicted == taken:
+            if self.lhp.update(pc, taken) == taken:
                 node.confidence = min(self.CONF_MAX, node.confidence + 1)
             else:
                 # A miss resets confidence: branches the LHP cannot carry
@@ -137,7 +134,6 @@ class MicroBTB:
                 # is the bar for gating, Section IV-B).
                 node.confidence = 0
                 node.lhp_misses += 1
-            self.lhp.update(pc, taken)
         else:
             node.confidence = min(self.CONF_MAX, node.confidence + 1)
 

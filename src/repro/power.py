@@ -65,6 +65,10 @@ class EnergyLedger:
         return {event: cell.value for event, cell in self._cells.items()
                 if cell.value}
 
+    def cell(self, event: str) -> Counter:
+        """The raw counter behind ``event`` (for hot-loop aliasing)."""
+        return self._cells[event]
+
     def record(self, event: str, count: int = 1) -> None:
         cell = self._cells.get(event)
         if cell is None:

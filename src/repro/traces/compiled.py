@@ -26,10 +26,12 @@ identical field values after a disk load).
 
 ``derived`` is a per-trace cache for values other layers compute from
 the columns alone and share across every run of the trace — today the
-SHP's branch stream, history rows and index rows (see
-:meth:`repro.frontend.shp.ScaledHashedPerceptron.bind`).  Entries are
-built lazily by their first user, never inside :func:`compile_trace`,
-and are never serialized; a :meth:`CompiledTrace.slice` starts empty.
+branch stream, the SHP's history and index rows (see
+:meth:`repro.frontend.shp.ScaledHashedPerceptron.bind`) and the LHP's
+rows (see :meth:`repro.frontend.lhp.LocalHashedPerceptron.bind`).
+Entries are built lazily by their first user, never inside
+:func:`compile_trace`, and are never serialized; a
+:meth:`CompiledTrace.slice` starts empty.
 The cache lives and dies with its trace.
 
 The on-disk format (see :func:`dump_bytes`) is a 4-byte magic, one

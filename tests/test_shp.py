@@ -1,14 +1,13 @@
 """Scaled Hashed Perceptron behaviour (Section IV-A)."""
 
 import json
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.config import get_generation
 from repro.core import GenerationSimulator
-from repro.frontend import BranchUnit, lhp as lhp_mod
+from repro.frontend import BranchUnit
 from repro.frontend.history import fold_bits, mix_segment, pc_hash
 from repro.frontend.lhp import LocalHashedPerceptron
 from repro.frontend.shp import (
@@ -18,6 +17,7 @@ from repro.frontend.shp import (
     WEIGHT_MIN,
 )
 from repro.frontend.vpc import virtual_pc
+from repro.state import to_pairs
 from repro.traces import TraceSpec
 from repro.traces.compiled import compile_trace
 from repro.traces.types import Kind, Trace, TraceRecord
@@ -179,27 +179,6 @@ _PCS = st.integers(min_value=0, max_value=(1 << 20) - 1).map(
     lambda x: 0x400000 + 4 * x)
 
 
-@pytest.mark.parametrize("memo_cap", [lhp_mod._MEMO_CAP, 4],
-                         ids=["default_cap", "cap4"])
-@settings(max_examples=30, deadline=None)
-@given(pcs=st.lists(_PCS, min_size=8, max_size=16, unique=True),
-       outcomes=st.lists(st.booleans(), min_size=16, max_size=64))
-def test_lhp_memoized_indices_match_the_hash_formula(memo_cap, pcs,
-                                                     outcomes):
-    # A cap of 4 is below the 8+ distinct PCs, so every memo overflows
-    # and clears mid-run; the indices must not change.
-    with mock.patch.object(lhp_mod, "_MEMO_CAP", memo_cap):
-        lhp = LocalHashedPerceptron()
-        for step, taken in enumerate(outcomes):
-            pc = pcs[step % len(pcs)]
-            slot = lhp._history_slot(pc)
-            assert slot == pc_hash(
-                pc, lhp.history_entries.bit_length() - 1, salt=0x77)
-            lhist = lhp._local.get(slot, 0)
-            assert lhp._indices(pc, lhist) == _lhp_indices(lhp, pc, lhist)
-            lhp.update(pc, taken)
-
-
 #: A branch stream: (kind, pc pool index, taken) per branch, each after
 #: 0-2 ALU records.  A small PC pool makes branches recur.
 _KINDS = (Kind.BR_COND, Kind.BR_COND, Kind.BR_COND, Kind.BR_UNCOND,
@@ -255,6 +234,68 @@ def test_shp_indices_match_the_hash_formula(geometry, start, pcs, history,
     assert shp._stream is None  # the binding ends with its stream
 
 
+def _slot(lhp, pc):
+    return pc_hash(pc, lhp.history_entries.bit_length() - 1, salt=0x77)
+
+
+@pytest.mark.parametrize("start", ["zero", "resumed", "unbound"])
+@settings(max_examples=30, deadline=None)
+@given(pcs=st.lists(_PCS, min_size=12, max_size=12, unique=True),
+       local=st.dictionaries(st.integers(0, 63),
+                             st.integers(0, (1 << 16) - 1), max_size=64),
+       stream=_STREAMS)
+def test_lhp_indices_match_the_hash_formula(start, pcs, local, stream):
+    lhp = LocalHashedPerceptron()
+    if start == "resumed":  # as restored from a checkpoint: any histories
+        lhp.load_state_dict({"tables": lhp.state_dict()["tables"],
+                             "local": to_pairs(local)})
+    trace = _compiled(stream, pcs)
+    if start != "unbound":
+        lhp.bind(trace)
+    for rec in trace.branch_records():
+        if rec is None or not rec.is_conditional:
+            continue
+        slot, lhist, indices, bound = lhp._lookup(rec.pc)
+        assert slot == _slot(lhp, rec.pc)
+        assert lhist == lhp._local.get(slot, 0)
+        assert tuple(indices) == _lhp_indices(lhp, rec.pc, lhist)
+        assert bound == (start != "unbound")  # every conditional has a row
+        total = sum(lhp.tables[t][i] for t, i in enumerate(indices))
+        assert lhp.predict(rec.pc) == (total >= 0, total)
+        assert lhp.update(rec.pc, rec.taken) == (total >= 0)
+
+
+@pytest.mark.parametrize("stray", ["same_slot", "other_slot"])
+def test_bound_lhp_falls_back_off_its_rows(stray):
+    """A bound LHP fed an update its rows do not expect, then the rest of
+    its trace, matches an unbound LHP fed the same calls."""
+    trace = compile_trace(TraceSpec("hard_random", 1, 1500).build())
+    conds = [r for r in trace.branch_records()
+             if r is not None and r.is_conditional]
+    bound, unbound = LocalHashedPerceptron(), LocalHashedPerceptron()
+    bound.bind(trace)
+    # A PC no branch of the trace has: in the first row's history slot
+    # (every later row misses) or in another one (later rows still serve).
+    branch_pcs = {r.pc for r in trace.branch_records() if r is not None}
+    first = _slot(bound, conds[0].pc)
+    pc = next(p for p in range(0x10, 1 << 20, 4) if p not in branch_pcs
+              and (_slot(bound, p) == first) == (stray == "same_slot"))
+    assert bound.update(pc, True) == unbound.update(pc, True)
+    served = 0
+    for rec in conds:
+        assert bound.predict(rec.pc) == unbound.predict(rec.pc)
+        served += bound._lookup(rec.pc)[3]
+        assert (bound.update(rec.pc, rec.taken)
+                == unbound.update(rec.pc, rec.taken))
+        assert bound.state_dict() == unbound.state_dict()
+    assert (served > 0) == (stray == "other_slot")
+    # Loading a checkpoint replaces the histories, so it ends the binding.
+    bound.bind(trace)
+    assert bound._lookup(conds[0].pc)[3]
+    bound.load_state_dict(json.loads(json.dumps(bound.state_dict())))
+    assert not bound._lookup(conds[0].pc)[3]
+
+
 def test_bound_shp_rejects_an_off_stream_push():
     trace = compile_trace(TraceSpec("specint_like", 1, 600).build())
     first = next(r for r in trace.branch_records() if r is not None)
@@ -273,14 +314,16 @@ def test_bound_shp_rejects_an_off_stream_push():
 
 
 def test_generations_share_rows_by_geometry():
-    """M1-M4 share one history set and M5/M6 another; M1/M2, M3/M4 and
-    M5/M6 each share an index set — all built on first use."""
+    """M1-M4 share one SHP history set and M5/M6 another; M1/M2, M3/M4
+    and M5/M6 each share an SHP index set, and M1-M6 one LHP row set —
+    all built on first use from one branch stream."""
     trace = compile_trace(TraceSpec("web_like", 3, 1500).build())
     assert trace.derived == {}
     for gen in ("M1", "M2", "M3", "M4", "M5", "M6"):
         GenerationSimulator(get_generation(gen)).run(trace)
     kinds = sorted(k if isinstance(k, str) else k[0] for k in trace.derived)
-    assert kinds == ["shp.history"] * 2 + ["shp.index"] * 3 + ["shp.stream"]
+    assert kinds == (["branch.stream", "lhp.rows"] + ["shp.history"] * 2
+                     + ["shp.index"] * 3)
     before = dict(trace.derived)
     BranchUnit(get_generation("M6")).run_trace(trace)
     assert all(trace.derived[k] is v for k, v in before.items())
