@@ -15,30 +15,30 @@ of its full payload plus the model version (see
     (override with the ``REPRO_CACHE_DIR`` environment variable), so
     repeated CLI/bench invocations across processes reuse results.
 
-Disk layout: ``<cache_dir>/tasks/<fp[:2]>/<fp>.json`` — one small JSON
-payload per task, sharded by fingerprint prefix to keep directories flat.
-Writes are atomic (temp file + ``os.replace``); unreadable entries are
-treated as misses and deleted.  Invalidation is purely key-based: a new
-package version, schema version, or any config/trace field change yields
-a different fingerprint, and stale entries are simply never read again.
-
-The cache root also hosts the **compiled-trace store**
-(:class:`CompiledTraceStore`): binary :class:`~repro.traces.compiled
-.CompiledTrace` blobs under ``<cache_dir>/ctraces/<fp[:2]>/<fp>.ctrace``,
-keyed by :func:`~repro.traces.compiled.compiled_fingerprint` (spec
-triple + compiled format version + package version), so workers load a
-decoded trace instead of regenerating and re-decoding it.  Same write
-discipline as the task tier — atomic writes, corrupt/truncated entries
-deleted and treated as misses (the caller regenerates from the spec).
+The cache root holds two tiers of one :class:`FileStore`:
+``<cache_dir>/tasks/<fp[:2]>/<fp>.json`` (one task result each) and the
+compiled-trace store (:class:`CompiledTraceStore`),
+``<cache_dir>/ctraces/<fp[:2]>/<fp>.ctrace`` (one binary
+:class:`~repro.traces.compiled.CompiledTrace` each, keyed by
+:func:`~repro.traces.compiled.compiled_fingerprint`), so workers load a
+decoded trace instead of regenerating and re-decoding it.  Entries are
+sharded by fingerprint prefix to keep directories flat, written whole
+(:func:`repro.atomic.atomic_write`), and an entry that fails to decode
+is deleted and treated as a miss, so several processes can share one
+root.  Invalidation is purely key-based: a new package version, schema
+version, or any config/trace field change yields a different
+fingerprint, and stale entries are simply never read again.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import tempfile
 from pathlib import Path
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Optional, Union
+
+from ..atomic import atomic_write
+from ..traces.compiled import dump_bytes, load_bytes
 
 CACHE_MODES = ("off", "memory", "disk")
 
@@ -59,20 +59,91 @@ def clear_memory() -> None:
     _MEMORY.clear()
 
 
+class FileStore:
+    """One tier of the cache root: a file per fingerprint at
+    ``<cache_dir>/<tier>/<fp[:2]>/<fp><suffix>``.
+
+    A subclass names its ``tier`` and ``suffix`` and turns entries into
+    file contents (``encode``) and back (``decode``, which raises
+    ``ValueError`` for contents it cannot use).  A read of an absent or
+    unreadable file is a miss; an entry that fails to decode is deleted
+    and is a miss, so the caller's recomputation rewrites it.  Writes
+    are atomic and best effort: an unwritable cache root never fails a
+    run.
+    """
+
+    tier = ""
+    suffix = ""
+
+    def __init__(self, cache_dir: Optional[os.PathLike] = None) -> None:
+        self.cache_dir = (Path(cache_dir) if cache_dir is not None
+                          else default_cache_dir())
+        self.hits = 0
+        self.misses = 0
+
+    def encode(self, value: Any) -> Union[str, bytes]:
+        raise NotImplementedError
+
+    def decode(self, data: bytes) -> Any:
+        raise NotImplementedError
+
+    def path(self, fingerprint: str) -> Path:
+        return self.cache_dir / self.tier / fingerprint[:2] / (
+            fingerprint + self.suffix)
+
+    def get(self, fingerprint: str) -> Any:
+        """The decoded entry, or ``None`` on a miss."""
+        path = self.path(fingerprint)
+        try:
+            value = self.decode(path.read_bytes())
+        except OSError:
+            value = None
+        except ValueError:
+            value = None
+            try:
+                path.unlink()
+            except OSError:  # another process deleted it first
+                pass
+        if value is None:
+            self.misses += 1
+        else:
+            self.hits += 1
+        return value
+
+    def put(self, fingerprint: str, value: Any) -> None:
+        try:
+            atomic_write(self.path(fingerprint), self.encode(value))
+        except OSError:  # read-only cache root etc.
+            pass
+
+    def clear(self) -> int:
+        """Delete every entry of this tier; returns the number removed."""
+        removed = 0
+        for path in (self.cache_dir / self.tier).glob("*/*" + self.suffix):
+            try:
+                path.unlink()
+                removed += 1
+            except OSError:  # pragma: no cover - racing deleters
+                pass
+        return removed
+
+
+class _TaskFiles(FileStore):
+    tier, suffix = "tasks", ".json"
+
+    def encode(self, payload: Dict[str, Any]) -> str:
+        return json.dumps(payload, sort_keys=True)
+
+    def decode(self, data: bytes) -> Dict[str, Any]:
+        payload = json.loads(data)
+        if not isinstance(payload, dict):
+            raise ValueError("task entry is not a JSON object")
+        return payload
+
+
 def clear_disk(cache_dir: Optional[os.PathLike] = None) -> int:
     """Delete all on-disk task entries; returns the number removed."""
-    root = Path(cache_dir) if cache_dir is not None else default_cache_dir()
-    removed = 0
-    task_root = root / "tasks"
-    if not task_root.is_dir():
-        return 0
-    for path in task_root.glob("*/*.json"):
-        try:
-            path.unlink()
-            removed += 1
-        except OSError:  # pragma: no cover - racing deleters
-            pass
-    return removed
+    return _TaskFiles(cache_dir).clear()
 
 
 class TaskCache:
@@ -85,19 +156,18 @@ class TaskCache:
                 f"unknown cache mode {mode!r}; expected one of {CACHE_MODES}"
             )
         self.mode = mode
-        self.cache_dir = (Path(cache_dir) if cache_dir is not None
-                          else default_cache_dir())
+        self.files = _TaskFiles(cache_dir)
+        self.cache_dir = self.files.cache_dir
         self.memory_hits = 0
-        self.disk_hits = 0
         self.misses = 0
+
+    @property
+    def disk_hits(self) -> int:
+        return self.files.hits
 
     @property
     def hits(self) -> int:
         return self.memory_hits + self.disk_hits
-
-    def _path(self, fingerprint: str) -> Path:
-        return self.cache_dir / "tasks" / fingerprint[:2] / (
-            fingerprint + ".json")
 
     def get(self, fingerprint: str) -> Optional[Dict[str, Any]]:
         if self.mode == "off":
@@ -107,19 +177,9 @@ class TaskCache:
             self.memory_hits += 1
             return dict(hit)
         if self.mode == "disk":
-            path = self._path(fingerprint)
-            try:
-                with open(path, "r", encoding="utf-8") as f:
-                    payload = json.load(f)
-            except (OSError, ValueError):
-                payload = None
-                try:  # corrupt entry: drop it so it is rewritten
-                    path.unlink()
-                except OSError:
-                    pass
-            if isinstance(payload, dict):
+            payload = self.files.get(fingerprint)
+            if payload is not None:
                 _MEMORY[fingerprint] = payload
-                self.disk_hits += 1
                 return dict(payload)
         self.misses += 1
         return None
@@ -128,32 +188,15 @@ class TaskCache:
         if self.mode == "off":
             return
         _MEMORY[fingerprint] = dict(payload)
-        if self.mode != "disk":
-            return
-        path = self._path(fingerprint)
-        try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-            try:
-                with os.fdopen(fd, "w", encoding="utf-8") as f:
-                    json.dump(payload, f, sort_keys=True)
-                os.replace(tmp, path)
-            finally:
-                if os.path.exists(tmp):  # pragma: no cover - replace failed
-                    os.unlink(tmp)
-        except OSError:  # pragma: no cover - read-only cache dir etc.
-            pass
+        if self.mode == "disk":
+            self.files.put(fingerprint, payload)
 
-
-# ---------------------------------------------------------------------------
-# Compiled-trace store
-# ---------------------------------------------------------------------------
 
 #: Compiled-trace blobs live beside (never inside) the task tier.
 CTRACE_DIRNAME = "ctraces"
 
 
-class CompiledTraceStore:
+class CompiledTraceStore(FileStore):
     """On-disk store of decode-once compiled traces (see module doc).
 
     Unlike :class:`TaskCache` this tier has no memory mode of its own —
@@ -163,71 +206,6 @@ class CompiledTraceStore:
     caller always holds the spec and can regenerate.
     """
 
-    def __init__(self, cache_dir: Optional[os.PathLike] = None) -> None:
-        self.cache_dir = (Path(cache_dir) if cache_dir is not None
-                          else default_cache_dir())
-        self.hits = 0
-        self.misses = 0
-
-    def _path(self, fingerprint: str) -> Path:
-        return self.cache_dir / CTRACE_DIRNAME / fingerprint[:2] / (
-            fingerprint + ".ctrace")
-
-    def get(self, fingerprint: str):
-        """The stored :class:`~repro.traces.compiled.CompiledTrace`, or
-        ``None``; corrupt/truncated entries are deleted on the way out
-        so the caller's regeneration rewrites them."""
-        from ..traces.compiled import CompiledTraceError, load_bytes
-
-        path = self._path(fingerprint)
-        try:
-            data = path.read_bytes()
-        except OSError:
-            self.misses += 1
-            return None
-        try:
-            compiled = load_bytes(data)
-        except CompiledTraceError:
-            try:  # corrupt entry: drop it so it is rewritten
-                path.unlink()
-            except OSError:
-                pass
-            self.misses += 1
-            return None
-        self.hits += 1
-        return compiled
-
-    def put(self, fingerprint: str, compiled) -> None:
-        """Atomically persist one compiled trace (best effort — an
-        unwritable store must never fail a run)."""
-        from ..traces.compiled import dump_bytes
-
-        path = self._path(fingerprint)
-        try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-            try:
-                with os.fdopen(fd, "wb") as f:
-                    f.write(dump_bytes(compiled))
-                os.replace(tmp, path)
-            finally:
-                if os.path.exists(tmp):  # pragma: no cover - replace failed
-                    os.unlink(tmp)
-        except OSError:  # pragma: no cover - read-only cache dir etc.
-            pass
-
-
-def clear_ctrace_disk(cache_dir: Optional[os.PathLike] = None) -> int:
-    """Delete all stored compiled traces; returns the number removed."""
-    root = Path(cache_dir) if cache_dir is not None else default_cache_dir()
-    removed = 0
-    ctrace_root = root / CTRACE_DIRNAME
-    if not ctrace_root.is_dir():
-        return 0
-    for path in ctrace_root.glob("*/*.ctrace"):
-        try:
-            path.unlink()
-            removed += 1
-        except OSError:  # pragma: no cover - racing deleters
-            pass
-    return removed
+    tier, suffix = CTRACE_DIRNAME, ".ctrace"
+    encode = staticmethod(dump_bytes)
+    decode = staticmethod(load_bytes)

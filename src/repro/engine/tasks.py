@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import time
 from collections import OrderedDict
 from typing import Any, Dict, Optional, Sequence, Tuple, Union
@@ -112,18 +111,6 @@ def task_fingerprint(payload: Dict[str, Any]) -> str:
 # Worker side
 # ---------------------------------------------------------------------------
 
-#: Environment switch for the on-disk compiled-trace store (default on;
-#: the test suite defaults it off via ``tests/conftest.py`` so plain
-#: test runs never write to the developer's real cache root).
-TRACE_STORE_ENV = "REPRO_TRACE_STORE"
-_STORE_DISABLE_VALUES = ("0", "off", "no", "false")
-
-
-def trace_store_enabled() -> bool:
-    value = os.environ.get(TRACE_STORE_ENV, "").strip().lower()
-    return value not in _STORE_DISABLE_VALUES
-
-
 #: Worker-side trace-preparation accounting.  A fork-local counter dict
 #: (sanctioned by simlint SIM012's ``worker_state_allow``): per-task
 #: *deltas* ride the heartbeat channel back to the host (see
@@ -192,25 +179,22 @@ def _build_compiled(spec_dict: Dict[str, Any],
         _CTRACE_MEMO.move_to_end(key)
         _TRACE_STATS["memo_hits"] += 1
         return compiled
-    store = CompiledTraceStore(cache_dir) if trace_store_enabled() else None
-    fp = compiled_fingerprint(*key) if store is not None else None
-    if store is not None:
-        compiled = store.get(fp)
-        if compiled is not None and (len(compiled) != spec.n_instructions
-                                     or compiled.family != spec.family):
-            compiled = None  # fingerprint collision / foreign entry
-        if compiled is not None:
-            _TRACE_STATS["store_hits"] += 1
-        else:
-            _TRACE_STATS["store_misses"] += 1
-    if compiled is None:
+    store = CompiledTraceStore(cache_dir)
+    fp = compiled_fingerprint(*key)
+    compiled = store.get(fp)
+    if compiled is not None and (len(compiled) != spec.n_instructions
+                                 or compiled.family != spec.family):
+        compiled = None  # fingerprint collision / foreign entry
+    if compiled is not None:
+        _TRACE_STATS["store_hits"] += 1
+    else:
+        _TRACE_STATS["store_misses"] += 1
         trace = _build_trace(spec_dict)
         t0 = time.perf_counter()
         compiled = compile_trace(trace)
         _TRACE_STATS["compile_seconds"] += time.perf_counter() - t0
         _TRACE_STATS["compiled"] += 1
-        if store is not None:
-            store.put(fp, compiled)
+        store.put(fp, compiled)
     _CTRACE_MEMO[key] = compiled
     while len(_CTRACE_MEMO) > _TRACE_MEMO_ENTRIES:
         _CTRACE_MEMO.popitem(last=False)

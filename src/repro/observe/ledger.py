@@ -1,8 +1,7 @@
 """The run ledger: a durable, append-only record of every engine run.
 
-``BENCH_*.json`` snapshots a single PR's perf numbers and ``repro
-metrics --diff`` compares two dumps you happened to save — but nothing
-in the repo remembered *its own runs*.  The ledger closes that gap:
+``repro metrics --diff`` compares two dumps you happened to save — but
+nothing in the repo remembered *its own runs*.  The ledger closes that gap:
 every ``repro.run`` / ``repro.run_population`` invocation appends one
 provenance-stamped JSON line to ``<cache_root>/ledger/runs.jsonl``,
 recording what was run (config fingerprints, trace/task fingerprints,
@@ -31,10 +30,11 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import tempfile
 import time
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence
+
+from ..atomic import atomic_write
 
 #: Version of the ledger record format.
 LEDGER_SCHEMA_VERSION = 1
@@ -298,15 +298,7 @@ def gc_ledger(keep: int, cache_dir: Optional[os.PathLike] = None) -> int:
         return 0
     text = "".join(json.dumps(r, sort_keys=True) + "\n" for r in kept)
     try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as f:
-                f.write(text)
-            os.replace(tmp, path)
-        finally:
-            if os.path.exists(tmp):  # pragma: no cover - replace failed
-                os.unlink(tmp)
+        atomic_write(path, text)
     except OSError:
         return 0
     return removed

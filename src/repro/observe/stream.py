@@ -31,6 +31,7 @@ import json
 import os
 from typing import Any, Dict, List, Optional, Union
 
+from ..atomic import atomic_write
 from .events import TraceEvent, events_from_jsonl, events_to_jsonl
 from .sink import TraceSink
 
@@ -117,11 +118,9 @@ class StreamingTraceSink:
         if not self.closed:
             self._flush_chunk()
             self.closed = True
-            doc = self.manifest()
-            text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-            with open(os.path.join(self.directory, MANIFEST_NAME),
-                      "w") as f:
-                f.write(text)
+            text = json.dumps(self.manifest(), indent=2,
+                              sort_keys=True) + "\n"
+            atomic_write(os.path.join(self.directory, MANIFEST_NAME), text)
         return self.manifest()
 
     def __enter__(self) -> "StreamingTraceSink":

@@ -23,11 +23,12 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 import threading
 import time
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional
+
+from ..atomic import atomic_write
 
 #: Version of the status-file document format.
 TELEMETRY_SCHEMA_VERSION = 1
@@ -203,21 +204,12 @@ class TelemetryMonitor:
 def write_status_file(path: os.PathLike, doc: Dict[str, Any]) -> None:
     """Atomically replace ``path`` with ``doc`` as sorted-key JSON.
 
-    Readers always see a complete document (temp file + ``os.replace``
-    in the destination directory); write failures are swallowed —
+    Readers always see a complete document
+    (:func:`repro.atomic.atomic_write`); write failures are swallowed —
     telemetry must never take down the run it is observing.
     """
-    path = os.fspath(path)
-    directory = os.path.dirname(path) or "."
     try:
-        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as f:
-                json.dump(doc, f, sort_keys=True)
-            os.replace(tmp, path)
-        finally:
-            if os.path.exists(tmp):  # pragma: no cover - replace failed
-                os.unlink(tmp)
+        atomic_write(path, json.dumps(doc, sort_keys=True))
     except OSError:  # pragma: no cover - unwritable status path
         pass
 

@@ -46,6 +46,8 @@ import json
 import os
 from typing import Any, Dict, Iterable, List, Mapping, Union
 
+from .atomic import atomic_write
+
 #: Bump when the checkpoint document layout (or any component's
 #: state_dict shape) changes incompatibly.
 #:
@@ -119,14 +121,11 @@ def checkpoint_to_json(doc: Dict[str, Any]) -> str:
 
 def save_checkpoint(path: Union[str, os.PathLike],
                     doc: Dict[str, Any]) -> None:
-    """Write a checkpoint document as canonical sorted-key JSON."""
+    """Write a checkpoint document as canonical sorted-key JSON,
+    replacing ``path`` atomically (:func:`repro.atomic.atomic_write`):
+    a failed or interrupted save leaves the previous file intact."""
     validate_checkpoint(doc)
-    path = os.fspath(path)
-    parent = os.path.dirname(path)
-    if parent:
-        os.makedirs(parent, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(checkpoint_to_json(doc) + "\n")
+    atomic_write(path, checkpoint_to_json(doc) + "\n")
 
 
 def load_checkpoint(path: Union[str, os.PathLike]) -> Dict[str, Any]:

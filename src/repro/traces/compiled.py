@@ -278,14 +278,14 @@ def load_bytes(data: bytes) -> CompiledTrace:
         raise CompiledTraceError("body checksum mismatch")
     try:
         n = int(header["n"])
-        raw_columns = list(header["columns"])
+        raw_columns = header["columns"]
         byteorder = header["byteorder"]
         name = header["name"]
         family = header["family"]
         seed = header["seed"]
     except (KeyError, TypeError, ValueError) as exc:
         raise CompiledTraceError(f"malformed header: {exc}") from exc
-    if [list(c) for c in raw_columns] != [[n_, c_] for n_, c_ in COLUMNS]:
+    if raw_columns != [[n_, c_] for n_, c_ in COLUMNS]:
         raise CompiledTraceError("unexpected column layout")
     columns: Dict[str, List[int]] = {}
     offset = 0

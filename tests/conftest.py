@@ -6,13 +6,29 @@ root — every engine call here would otherwise log itself.  Tests that
 exercise the ledger opt back in explicitly (``ledger=True`` or a
 monkeypatched ``REPRO_LEDGER``) against a tmp cache dir.
 
-Likewise the compiled-trace store: on by default for real usage, off
-here so tests never write binary blobs into the developer's cache root.
-Store tests opt back in with a monkeypatched ``REPRO_TRACE_STORE`` and
-``REPRO_CACHE_DIR`` pointed at a tmp dir.
+No test writes into a real cache root in any tier either: for the
+whole session ``REPRO_CACHE_DIR`` points at a fresh temporary directory,
+whatever the environment said, and the directory is removed when the
+session ends.  Task results, compiled traces and any ledger a test
+turns on land there unless the test roots its cache at a ``tmp_path``.
 """
 
 import os
+import shutil
+import tempfile
+
+import pytest
 
 os.environ.setdefault("REPRO_LEDGER", "off")
-os.environ.setdefault("REPRO_TRACE_STORE", "off")
+
+_CACHE_DIR = pytest.StashKey[str]()
+
+
+def pytest_configure(config):
+    cache_dir = tempfile.mkdtemp(prefix="repro-test-cache-")
+    config.stash[_CACHE_DIR] = cache_dir
+    os.environ["REPRO_CACHE_DIR"] = cache_dir
+
+
+def pytest_unconfigure(config):
+    shutil.rmtree(config.stash[_CACHE_DIR], ignore_errors=True)

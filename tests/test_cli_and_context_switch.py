@@ -4,6 +4,8 @@ import pytest
 
 from repro.__main__ import build_parser, main
 from repro.config import get_generation
+from repro.engine import clear_caches
+from repro.engine.tasks import _TRACE_STATS
 from repro.frontend import BranchUnit
 from repro.security import ProcessContext, SecureFrontEndContext
 from repro.traces import make_trace
@@ -21,12 +23,16 @@ def test_cli_simulate_runs(capsys):
     assert "M5" in out and "IPC" in out
 
 
-def test_cli_simulate_all_generations(capsys):
+def test_cli_simulate_all_generations(capsys, monkeypatch, tmp_path):
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    clear_caches()
+    compiled = _TRACE_STATS["compiled"]
     rc = main(["simulate", "--family", "stream_like", "--length", "2000"])
     assert rc == 0
     out = capsys.readouterr().out
     for g in ("M1", "M6"):
         assert g in out
+    assert _TRACE_STATS["compiled"] == compiled + 1  # shared by all six
 
 
 def test_cli_tables(capsys):

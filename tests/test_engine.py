@@ -1,6 +1,12 @@
 """The execution engine: determinism, caching tiers, fingerprints, and
 the unified ``repro.run`` / ``repro.run_population`` API surface."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 import repro
@@ -27,6 +33,7 @@ from repro.serialization import (
 )
 from repro.traces import TraceSpec, make_trace, standard_suite, \
     standard_suite_specs
+from repro.traces.compiled import load_bytes
 
 
 @pytest.fixture(autouse=True)
@@ -191,6 +198,59 @@ def test_corrupt_disk_entry_is_a_miss(tmp_path):
     cache.put(fp, {"x": 2.0})
     clear_caches()
     assert cache.get(fp) == {"x": 2.0}
+
+
+def test_task_entry_that_is_not_an_object_is_dropped(tmp_path):
+    cache = TaskCache("disk", cache_dir=tmp_path)
+    fp = "cd" + "0" * 62
+    path = tmp_path / "tasks" / "cd" / (fp + ".json")
+    path.parent.mkdir(parents=True)
+    path.write_text("[1, 2]")  # valid JSON, not a result payload
+    assert cache.get(fp) is None and cache.misses == 1
+    assert not path.exists()
+
+
+#: One small population, run by two processes at once in the test below.
+_SHARED_ROOT_RUN = dict(n_slices=2, slice_length=1000, seed=17,
+                        generations=("M1", "M5"), ledger=False)
+
+
+def test_two_processes_share_one_cache_root(tmp_path):
+    """Two processes fill one disk cache root at the same time: both
+    archives equal an uncached run's byte for byte, and every file they
+    leave under the root is a whole entry."""
+    root = tmp_path / "cache"
+    code = ("import sys\n"
+            "from repro.engine import execute_population\n"
+            "from repro.serialization import population_to_json\n"
+            "result, _ = execute_population(cache='disk', "
+            f"cache_dir=sys.argv[1], **{_SHARED_ROOT_RUN!r})\n"
+            "with open(sys.argv[2], 'w') as f:\n"
+            "    f.write(population_to_json(result))\n")
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(repro.__file__).resolve().parents[1]))
+    archives = [tmp_path / f"archive-{i}.json" for i in (1, 2)]
+    procs = [subprocess.Popen([sys.executable, "-c", code, str(root),
+                               str(archive)], env=env)
+             for archive in archives]
+    try:
+        for proc in procs:
+            assert proc.wait(timeout=300) == 0
+    finally:
+        for proc in procs:
+            proc.kill()  # a no-op once it has exited
+
+    expected, _ = execute_population(cache="off", **_SHARED_ROOT_RUN)
+    for archive in archives:
+        assert archive.read_text() == population_to_json(expected)
+    files = sorted(p for p in root.rglob("*") if p.is_file())
+    tasks = [p for p in files if p.suffix == ".json"]
+    blobs = [p for p in files if p.suffix == ".ctrace"]
+    assert (len(tasks), len(blobs), len(files)) == (4, 2, 6)  # no temps
+    for path in tasks:
+        assert isinstance(json.loads(path.read_bytes()), dict)
+    for path in blobs:
+        load_bytes(path.read_bytes())
 
 
 def test_task_cache_rejects_unknown_mode():

@@ -10,6 +10,8 @@ results themselves are pinned by ``tests/test_golden.py``.
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 import repro
@@ -133,12 +135,25 @@ def test_load_bytes_rejects_corruption(mutate):
         load_bytes(mutate(dump_bytes(compiled)))
 
 
+def test_load_bytes_rejects_a_malformed_column_layout():
+    """A header that parses but lists columns that are not pairs is a
+    format error too, so a store entry like it is dropped, not fatal."""
+    blob = dump_bytes(compile_trace(make_trace("loop_kernel", seed=1,
+                                               n_instructions=50)))
+    size = int.from_bytes(blob[4:8], "little")
+    header = json.loads(blob[8:8 + size])
+    header["columns"] = [1] * len(header["columns"])
+    head = json.dumps(header, sort_keys=True).encode("utf-8")
+    with pytest.raises(CompiledTraceError):
+        load_bytes(blob[:4] + len(head).to_bytes(4, "little") + head
+                   + blob[8 + size:])
+
+
 # ---------------------------------------------------------------------------
 # Compiled-trace store: disk reuse and regeneration fallback
 # ---------------------------------------------------------------------------
 
 def _store_env(monkeypatch, tmp_path):
-    monkeypatch.setenv("REPRO_TRACE_STORE", "on")
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
 
 

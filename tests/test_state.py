@@ -17,6 +17,8 @@ The contracts under test (docs/checkpoint.md):
 from __future__ import annotations
 
 import json
+import os
+import stat
 
 import pytest
 
@@ -28,7 +30,7 @@ from repro.metrics import WINDOW_COUNTERS
 from repro.observe.events import InstEvent, events_to_jsonl
 from repro.observe.sink import TraceSink
 from repro.state import (CHECKPOINT_SCHEMA_VERSION, checkpoint_to_json,
-                         validate_checkpoint)
+                         save_checkpoint, validate_checkpoint)
 from repro.traces import TraceSpec
 
 
@@ -170,3 +172,37 @@ def test_materialized_trace_warmup_traces_only_the_suffix():
                if isinstance(e, InstEvent)) == 1500
     assert events_to_jsonl(from_trace.events) == \
         events_to_jsonl(from_spec.events)
+
+
+# ---------------------------------------------------------------------------
+# Checkpoint files
+# ---------------------------------------------------------------------------
+
+def _checkpoint(instructions):
+    sim = GenerationSimulator("M1")
+    sim.run(_trace(n=2000).slice(0, instructions), finalize=False)
+    return sim.save_state()
+
+
+def test_failed_save_leaves_the_previous_checkpoint(tmp_path, monkeypatch):
+    path = tmp_path / "run.ckpt.json"
+    save_checkpoint(path, _checkpoint(500))
+    before = path.read_bytes()
+
+    def failing_replace(src, dst):
+        raise OSError("simulated crash before the rename")
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    with pytest.raises(OSError):
+        save_checkpoint(path, _checkpoint(1000))
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]  # no temp
+
+
+def test_saved_checkpoint_has_the_mode_open_gives(tmp_path):
+    saved, plain = tmp_path / "run.ckpt.json", tmp_path / "plain.json"
+    save_checkpoint(saved, _checkpoint(500))
+    with open(plain, "w"):
+        pass
+    assert stat.S_IMODE(saved.stat().st_mode) == \
+        stat.S_IMODE(plain.stat().st_mode)

@@ -1,76 +1,9 @@
-"""Trace serialization and RAS speculative repair."""
-
-import io
-
-import pytest
+"""RAS speculative repair on mispredicts."""
 
 from repro.config import get_generation
 from repro.frontend import BranchUnit
-from repro.traces import Kind, Trace, TraceRecord, make_trace
-from repro.traces.io import dump_trace, load_trace, read_trace, save_trace
+from repro.traces import Kind, Trace, TraceRecord
 
-
-def test_trace_roundtrip_in_memory():
-    t = make_trace("specint_like", seed=11, n_instructions=2000)
-    buf = io.StringIO()
-    dump_trace(t, buf)
-    buf.seek(0)
-    t2 = load_trace(buf)
-    assert t2.name == t.name and t2.family == t.family
-    assert len(t2) == len(t)
-    for a, b in zip(t, t2):
-        assert (a.pc, a.kind, a.taken, a.target, a.addr,
-                a.src1_dist, a.src2_dist) == \
-               (b.pc, b.kind, b.taken, b.target, b.addr,
-                b.src1_dist, b.src2_dist)
-
-
-def test_trace_roundtrip_on_disk(tmp_path):
-    t = make_trace("web_like", seed=5, n_instructions=1000)
-    path = tmp_path / "slice.jsonl"
-    save_trace(t, str(path))
-    t2 = read_trace(str(path))
-    assert len(t2) == 1000
-    assert t2.seed == t.seed
-
-
-def test_loaded_trace_simulates_identically():
-    from repro.core import GenerationSimulator
-
-    t = make_trace("mobile_like", seed=9, n_instructions=3000)
-    buf = io.StringIO()
-    dump_trace(t, buf)
-    buf.seek(0)
-    t2 = load_trace(buf)
-    r1 = GenerationSimulator(get_generation("M4")).run(t)
-    r2 = GenerationSimulator(get_generation("M4")).run(t2)
-    assert r1.ipc == r2.ipc and r1.mpki == r2.mpki
-
-
-def test_truncated_trace_rejected():
-    t = make_trace("loop_kernel", seed=1, n_instructions=100)
-    buf = io.StringIO()
-    dump_trace(t, buf)
-    lines = buf.getvalue().splitlines()[:-5]
-    with pytest.raises(ValueError):
-        load_trace(io.StringIO("\n".join(lines) + "\n"))
-
-
-def test_bad_version_rejected():
-    with pytest.raises(ValueError):
-        load_trace(io.StringIO('{"version": 99, "length": 0}\n'))
-
-
-def test_compact_encoding_drops_trailing_zeros():
-    buf = io.StringIO()
-    dump_trace(Trace("t", "f", [TraceRecord(pc=4, kind=Kind.ALU)]), buf)
-    record_line = buf.getvalue().splitlines()[1]
-    assert record_line == "[4, 0]"
-
-
-# ---------------------------------------------------------------------------
-# RAS repair on mispredicts
-# ---------------------------------------------------------------------------
 
 def test_ras_repairs_counted_and_harmless():
     """Every mispredict exercises the checkpoint repair; returns keep
