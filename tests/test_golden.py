@@ -87,13 +87,20 @@ RUN_TRACE = ("run_trace:specint_like:11:4000",
 CONTEXT_SWITCH = ("context_switch:specint_like:100+200@M5", "M5", 2, 1500)
 CONTEXT_MODES = ("none", "encrypt", "flush")
 #: Window series of counters the front end owns (no default window
-#: counter is one): (label, spec, interval, counters, generations, the
-#: instruction a resumed run is cut at).
+#: counter is one), among them every counter the front-end pass bumps
+#: per branch or per block: (label, spec, interval, counters,
+#: generations, the instruction a resumed run is cut at).
 FRONTEND_WINDOWS = (
     "windows:specint_like:4:5000/700", TraceSpec("specint_like", 4, 5000),
     700, ("core.instructions", "frontend.mispredicts",
           "frontend.bubbles.total", "uoc.fetch_cycles", "uoc.build_cycles",
-          "energy.shp_lookup"), ("M1", "M5", "M6"), 1234)
+          "energy.shp_lookup", "frontend.branches",
+          "frontend.conditional_branches", "frontend.taken_branches",
+          "frontend.btb.miss_redirects", "frontend.bubbles.zero_redirects",
+          "frontend.bubbles.mrb_saved", "frontend.ras.repairs",
+          "energy.ubtb_lookup", "energy.mbtb_lookup", "energy.shp_update",
+          "energy.vbtb_lookup", "energy.l2btb_fill", "energy.icache_fetch",
+          "energy.decode"), ("M1", "M5", "M6"), 1234)
 #: Shared-L2 contention on the memory hierarchy alone: the random
 #: 768 KiB working set of benchmarks/test_ablation_shared_l2_and_
 #: frequency.py, shortened.  (label, accesses, the pinned (generation,
