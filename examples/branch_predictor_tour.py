@@ -29,8 +29,8 @@ def shp_demo() -> None:
     correct = 0
     pattern = [True, True, False] * 200
     for taken in pattern:
-        pred = shp.predict(0x4000)
-        correct += pred.taken == taken
+        pred = shp.predict(0x4000)  # (taken, sum, table rows)
+        correct += pred[0] == taken
         shp.update(0x4000, taken, pred)
         shp.push_history(0x4000, True, taken)
     print(f"  TTN pattern accuracy: {correct / len(pattern):.1%} "
@@ -46,9 +46,9 @@ def btb_demo() -> None:
     for i in range(10):  # ten branches in one 128B line
         btb.discover(base + 4 * i, 0x20000 + i, Kind.BR_COND)
     for i in (0, 7, 8, 9):
-        r = btb.lookup(base + 4 * i)
-        print(f"  branch {i}: served by {r.source} "
-              f"(+{r.extra_bubbles} bubbles)")
+        _, source, extra_bubbles = btb.lookup(base + 4 * i)
+        print(f"  branch {i}: served by {source} "
+              f"(+{extra_bubbles} bubbles)")
     print(f"  spills to vBTB: {btb.spills_to_vbtb}\n")
 
 

@@ -20,7 +20,8 @@ and the two-predictions-per-cycle rule for a leading not-taken branch
 
 The front end never reads simulated time, so it runs as its own pass
 (:meth:`~repro.frontend.predictor.BranchUnit.resolve`), one metrics
-window ahead: the loop reads its mispredict and bubble columns.
+window ahead: the loop reads its per-branch (mispredicted, bubbles)
+pairs.
 
 Stats live in the shared metric registry (``core.*``); ``CoreStats`` is
 the attribute-style view over those cells, and the inner loop bumps the
@@ -103,14 +104,19 @@ class Scoreboard:
                  sink: Optional[TraceSink] = None,
                  held: Optional[HeldEvents] = None,
                  on_branch: Optional[Callable[[TraceRecord, int],
-                                              None]] = None) -> None:
+                                              None]] = None,
+                 on_blocks: Optional[Callable[[int], None]] = None) -> None:
         self.config = config
         self.branch_unit = branch_unit
         self.memory = memory
         #: Optional per-block hook ``(record, absolute_index)`` the
         #: front-end pass calls after each branch, in stream order — the
-        #: simulator's UOC mode machine or legacy fetch/decode energy.
+        #: simulator's UOC mode machine.
         self.on_branch = on_branch
+        #: Optional hook told how many blocks (branches) each front-end
+        #: pass ended, before the loop runs its chunk — the simulator's
+        #: fetch/decode energy without a UOC.
+        self.on_blocks = on_blocks
         #: Optional event sink; ``None`` (the default) disables
         #: tracing at the cost of one branch per instruction.
         self.sink = sink
@@ -274,9 +280,11 @@ class Scoreboard:
         while start < n:
             stop = min(n, start + until_window) if windowing else n
             if branch_unit is not None:
-                # One mispredict flag and bubble count per branch (b).
-                mispredicts, bubble_counts = branch_unit.resolve(
+                # One (mispredicted, bubbles) pair per branch (b).
+                outcomes = branch_unit.resolve(
                     trace, start, stop, self.on_branch, base_index)
+                if self.on_blocks is not None:
+                    self.on_blocks(len(outcomes))
                 b = 0
 
             for j in range(start, stop):
@@ -391,11 +399,11 @@ class Scoreboard:
                 elif brs[j]:
                     group_branches += 1
                     if branch_unit is not None:
-                        bubbles = bubble_counts[b]
+                        mispredicted, bubbles = outcomes[b]
                         if bubbles > stall:
                             bucket = 1
                             stall = float(bubbles)
-                        if mispredicts[b]:
+                        if mispredicted:
                             c_mispredicts.value += 1
                             restart = completion + mp_penalty
                             c_mp_stall.value += max(0.0, restart - fetch_time)

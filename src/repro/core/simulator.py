@@ -13,8 +13,9 @@ instruction :class:`~repro.metrics.WindowSample` series for
 warmup-excludable IPC/MPKI time-series analysis.
 
 The front-end pass calls the simulator's per-block hook after each
-branch: the UOC mode machine, or without a UOC the block's fetch and
-decode energy.  The branch unit and UOC emit into a held-event queue.
+branch: the UOC mode machine; without a UOC, each pass charges its
+blocks' fetch and decode energy at once.  The branch unit and UOC emit
+into a held-event queue.
 """
 
 from __future__ import annotations
@@ -120,7 +121,10 @@ class GenerationSimulator:
                                      held=held,
                                      on_branch=(self._uoc_on_branch
                                                 if self.uoc is not None
-                                                else self._charge_block))
+                                                else None),
+                                     on_blocks=(self._charge_blocks
+                                                if self.uoc is None
+                                                else None))
         # Resumable run-segmentation state (see ``save_state``): the UOC
         # block-stream cursor, the one-time trailing-block energy charge,
         # and the window recorder shared across run segments.
@@ -160,7 +164,7 @@ class GenerationSimulator:
         elif not self._legacy_base_charged:
             # The trailing block (after the last branch) is charged once
             # per *run*, up front; the pass charges every other block.
-            self._charge_block()
+            self._charge_blocks(1)
             self._legacy_base_charged = True
         core = self.scoreboard.run(trace, on_window=on_window,
                                    window_interval=window_interval)
@@ -202,10 +206,11 @@ class GenerationSimulator:
                 "window configuration changed across run segments")
         return self._recorder
 
-    def _charge_block(self, *_) -> None:
-        """Per-block hook without a UOC: one I-cache fetch and decode."""
-        self._c_icache_fetch.value += 1
-        self._c_decode.value += 1
+    def _charge_blocks(self, count: int) -> None:
+        """Per-chunk hook without a UOC: one I-cache fetch and decode
+        per block."""
+        self._c_icache_fetch.value += count
+        self._c_decode.value += count
 
     def _uoc_on_branch(self, rec: TraceRecord, index: int) -> None:
         """Feed the basic block ended by ``rec`` into the UOC mode
@@ -225,7 +230,7 @@ class GenerationSimulator:
         iteration of a kernel that is exactly what the UOC exists to
         serve.  Both signals live in checkpointed node state.
         """
-        node = self.branch_unit.ubtb._get_node(rec.pc)
+        node = self.branch_unit.ubtb.last_node  # ``rec``'s, if resident
         predictable = node is not None and (
             node.confidence >= 3
             or (node.visits >= 8 and node.lhp_misses * 8 <= node.visits))

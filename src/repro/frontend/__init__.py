@@ -12,7 +12,7 @@ from .baselines import (  # noqa: F401
     ShpDirectionAdapter,
     measure_conditional_mpki,
 )
-from .btb import BTBEntry, BTBHierarchy, BTBLookup  # noqa: F401
+from .btb import BTBEntry, BTBHierarchy  # noqa: F401
 from .confidence import ConfidenceEstimator  # noqa: F401
 from .history import (  # noqa: F401
     GlobalHistory,
@@ -24,9 +24,9 @@ from .history import (  # noqa: F401
 )
 from .lhp import LocalHashedPerceptron  # noqa: F401
 from .mrb import MispredictRecoveryBuffer  # noqa: F401
-from .predictor import BranchResult, BranchStats, BranchUnit  # noqa: F401
+from .predictor import BranchStats, BranchUnit  # noqa: F401
 from .ras import ReturnAddressStack  # noqa: F401
-from .shp import ScaledHashedPerceptron, ShpPrediction  # noqa: F401
+from .shp import ScaledHashedPerceptron  # noqa: F401
 from .storage import (  # noqa: F401
     PAPER_TABLE2,
     StorageBudget,

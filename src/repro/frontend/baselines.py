@@ -110,7 +110,7 @@ class ShpDirectionAdapter:
 
     def predict(self, pc: int) -> bool:
         self._last_prediction = self.shp.predict(pc)
-        return self._last_prediction.taken
+        return self._last_prediction[0]
 
     def update(self, pc: int, taken: bool) -> None:
         self.shp.update(pc, taken, self._last_prediction)

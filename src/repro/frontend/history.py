@@ -150,16 +150,18 @@ _ROW_KINDS = frozenset(int(k) for k in (
 
 
 class BranchStream:
-    """A compiled trace's branches in order: per branch its PC, a flag
-    (``2 * conditional + taken``, plus 4 when it has an SHP row) and its
-    SHP row number (-1 without a row).  The SHP and the LHP build their
-    rows from one stream per trace (:meth:`of`)."""
+    """A compiled trace's branches in order: per branch its position in
+    the trace, its PC, a flag (``2 * conditional + taken``, plus 4 when
+    it has an SHP row) and its SHP row number (-1 without a row).  The
+    branch unit walks the positions; the SHP and the LHP build their
+    rows from the rest.  One stream per trace (:meth:`of`)."""
 
-    __slots__ = ("pcs", "flags", "row_of")
+    __slots__ = ("positions", "pcs", "flags", "row_of")
 
     def __init__(self, trace: "CompiledTrace") -> None:
         kinds, taken, pcs = trace.kind, trace.taken, trace.pc
         cond = int(Kind.BR_COND)
+        self.positions = array("i")
         self.pcs = array("q")
         self.flags = array("b")
         self.row_of = array("i")
@@ -174,6 +176,7 @@ class BranchStream:
                 flag |= HAS_ROW
                 row = rows
                 rows += 1
+            self.positions.append(j)
             self.pcs.append(pcs[j])
             self.flags.append(flag)
             self.row_of.append(row)

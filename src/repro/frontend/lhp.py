@@ -48,6 +48,9 @@ if TYPE_CHECKING:
 
 _WEIGHT_MAX = 31
 _WEIGHT_MIN = -31
+#: A lookup's table weights, summed in C: ``sum(map(_WEIGHT, tables,
+#: indices))``.
+_WEIGHT = list.__getitem__
 
 #: Rows of an unbound LHP: none.  Never written to.
 _NO_ROWS = (array("q"), array(ROW_TYPECODE), array("Q"), array(ROW_TYPECODE))
@@ -158,9 +161,7 @@ class LocalHashedPerceptron:
 
     def predict(self, pc: int) -> Tuple[bool, int]:
         """Return (taken, sum) for the branch at ``pc``."""
-        total = 0
-        for table, i in zip(self.tables, self._lookup(pc)[2]):
-            total += table[i]
+        total = sum(map(_WEIGHT, self.tables, self._lookup(pc)[2]))
         return total >= 0, total
 
     def update(self, pc: int, taken: bool) -> bool:
@@ -169,15 +170,20 @@ class LocalHashedPerceptron:
         slot, lhist, indices, bound = self._lookup(pc)
         if bound:
             self._cursor += 1
-        total = 0
-        for table, i in zip(self.tables, indices):
-            total += table[i]
+        total = sum(map(_WEIGHT, self.tables, indices))
         predicted = total >= 0
         if predicted != taken or abs(total) <= self.theta:
-            delta = 1 if taken else -1
-            for table, i in zip(self.tables, indices):
-                w = table[i] + delta
-                table[i] = max(_WEIGHT_MIN, min(_WEIGHT_MAX, w))
+            # Saturating steps: every weight stays within its range.
+            if taken:
+                for table, i in zip(self.tables, indices):
+                    w = table[i]
+                    if w < _WEIGHT_MAX:
+                        table[i] = w + 1
+            else:
+                for table, i in zip(self.tables, indices):
+                    w = table[i]
+                    if w > _WEIGHT_MIN:
+                        table[i] = w - 1
         self._local[slot] = ((lhist << 1) | (1 if taken else 0)) & self._mask
         return predicted
 

@@ -39,8 +39,7 @@ same either way.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from .history import (
     CONDITIONAL,
@@ -66,22 +65,14 @@ WEIGHT_MIN = -127
 BIAS_MAX = 31
 BIAS_MIN = -31
 
-@dataclass
-class ShpPrediction:
-    """Everything the front end needs from one SHP lookup."""
+#: One SHP lookup, as :meth:`ScaledHashedPerceptron.predict` returns it
+#: and :meth:`~ScaledHashedPerceptron.update` takes it back: the
+#: predicted direction, the sum and the per-table rows.
+ShpLookup = Tuple[bool, int, Sequence[int]]
 
-    taken: bool
-    total: int
-    indices: Tuple[int, ...]
-    bias: int
-    #: True when the branch is in the always-taken filter state.
-    filtered_always_taken: bool = False
-
-    @property
-    def confidence_margin(self) -> int:
-        """|sum|, a proxy for prediction confidence (used by the JRS
-        estimator feeding the MRB)."""
-        return abs(self.total)
+#: A lookup's table weights, summed in C: ``sum(map(_WEIGHT, tables,
+#: indices))``.
+_WEIGHT = list.__getitem__
 
 
 class ScaledHashedPerceptron:
@@ -158,7 +149,7 @@ class ScaledHashedPerceptron:
                 for t in range(self.n_tables))
         return hs
 
-    def _indices(self, pc: int) -> Tuple[int, ...]:
+    def _indices(self, pc: int) -> Sequence[int]:
         """Per-table row for a lookup of ``pc`` at the current history:
         the bound stream's index row when ``pc`` is its next branch's
         own PC, else a history row XOR ``pc``'s hashes, masked — the
@@ -170,7 +161,7 @@ class ScaledHashedPerceptron:
                 n = self.n_tables
                 o = row * n
                 if pc == stream.pcs[self._cursor]:
-                    return tuple(self._index_rows[o:o + n])
+                    return self._index_rows[o:o + n]
                 mask = self.rows - 1
                 return tuple([(h ^ x) & mask for h, x in zip(
                     self._hist_rows[o:o + n], self._pc_hashes(pc))])
@@ -220,25 +211,24 @@ class ScaledHashedPerceptron:
 
     # -- prediction -----------------------------------------------------------
 
-    def predict(self, pc: int) -> ShpPrediction:
-        """Compute the SHP sum for the branch at ``pc``.
+    def predict(self, pc: int) -> ShpLookup:
+        """Look up the branch at ``pc``: ``(taken, total, indices)``.
 
-        The BIAS weight is doubled before being added to the eight (or
-        sixteen) table weights; sum >= 0 predicts TAKEN.
+        ``total`` is the BIAS weight, doubled, plus the eight (or
+        sixteen) table weights; sum >= 0 predicts TAKEN, and a branch in
+        the always-taken filter state predicts TAKEN whatever its sum.
         """
         self.lookups += 1
         indices = self._indices(pc)
-        bias = self._bias.get(pc, 1)  # fresh branches lean weakly taken
-        total = 2 * bias
-        for t, i in enumerate(indices):
-            total += self.tables[t][i]
-        filtered = not self._seen_not_taken.get(pc, False) and pc in self._bias
-        if filtered:
+        bias = self._bias.get(pc)
+        if bias is None:  # fresh branches lean weakly taken
+            total = 2 + sum(map(_WEIGHT, self.tables, indices))
+            return total >= 0, total, indices
+        total = 2 * bias + sum(map(_WEIGHT, self.tables, indices))
+        if not self._seen_not_taken.get(pc, False):
             self.filtered_lookups += 1
-            return ShpPrediction(taken=True, total=total, indices=indices,
-                                 bias=bias, filtered_always_taken=True)
-        return ShpPrediction(taken=total >= 0, total=total, indices=indices,
-                             bias=bias)
+            return True, total, indices
+        return total >= 0, total, indices
 
     # -- training -------------------------------------------------------------
 
@@ -258,8 +248,9 @@ class ScaledHashedPerceptron:
                     self.theta -= 1
 
     def update(self, pc: int, taken: bool,
-               prediction: Optional[ShpPrediction] = None) -> None:
-        """Train on the resolved outcome of the branch at ``pc``.
+               prediction: Optional[ShpLookup] = None) -> None:
+        """Train on the resolved outcome of the branch at ``pc``, given
+        its :meth:`predict` lookup (looked up again when omitted).
 
         Must be called for every retired conditional branch; history
         updates happen separately via :meth:`push_history` so that
@@ -268,36 +259,45 @@ class ScaledHashedPerceptron:
         if prediction is None:
             prediction = self.predict(pc)
             self.lookups -= 1  # internal re-lookup, not a real access
+        predicted, total, indices = prediction
 
         # Maintain the always-taken filter state.
-        first_time = pc not in self._bias
-        if first_time:
+        bias = self._bias.get(pc)
+        if bias is None:
             self._bias[pc] = 1 if taken else -1
             self._seen_not_taken[pc] = not taken
             return  # discovery; no weight training yet
         if not taken:
             self._seen_not_taken[pc] = True
-
-        if not self._seen_not_taken[pc]:
+        elif not self._seen_not_taken[pc]:
             # Still in always-taken state: do not touch the weight tables
             # (Section IV-A aliasing reduction); keep bias saturating up.
-            if self._bias[pc] < BIAS_MAX:
-                self._bias[pc] += 1
+            if bias < BIAS_MAX:
+                self._bias[pc] = bias + 1
             return
 
-        mispredicted = prediction.taken != taken
-        margin_low = prediction.confidence_margin <= self.theta
+        mispredicted = predicted != taken
+        margin_low = abs(total) <= self.theta
         if not mispredicted and not margin_low:
             return
 
         self.updates += 1
         self._adjust_theta(mispredicted, margin_low)
-        delta = 1 if taken else -1
-        bias = self._bias[pc] + delta
-        self._bias[pc] = max(BIAS_MIN, min(BIAS_MAX, bias))
-        for t, i in enumerate(prediction.indices):
-            w = self.tables[t][i] + delta
-            self.tables[t][i] = max(WEIGHT_MIN, min(WEIGHT_MAX, w))
+        # Saturating steps: every weight stays within its range.
+        if taken:
+            if bias < BIAS_MAX:
+                self._bias[pc] = bias + 1
+            for table, i in zip(self.tables, indices):
+                w = table[i]
+                if w < WEIGHT_MAX:
+                    table[i] = w + 1
+        else:
+            if bias > BIAS_MIN:
+                self._bias[pc] = bias - 1
+            for table, i in zip(self.tables, indices):
+                w = table[i]
+                if w > WEIGHT_MIN:
+                    table[i] = w - 1
 
     # -- history maintenance ----------------------------------------------------
 

@@ -170,8 +170,7 @@ class VPCPredictor:
         vpc_target: Optional[int] = None
         vpc_pos = -1
         for i in range(vpc_limit):
-            pred = self.shp.predict(virtual_pc(pc, i))
-            if pred.taken:
+            if self.shp.predict(virtual_pc(pc, i))[0]:
                 vpc_target = chain[i]
                 vpc_pos = i
                 break

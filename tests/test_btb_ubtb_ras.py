@@ -1,11 +1,16 @@
 """BTB hierarchy, micro-BTB graph and return address stack."""
 
+import random
+from collections import OrderedDict
+
 import pytest
 
+from repro.config import get_generation
+from repro.frontend import BranchUnit
 from repro.frontend.btb import BTBHierarchy, LINE_BYTES, SLOTS_PER_LINE
 from repro.frontend.ras import ReturnAddressStack
 from repro.frontend.ubtb import MicroBTB
-from repro.traces.types import Kind
+from repro.traces.types import Kind, TraceRecord
 
 
 # ---------------------------------------------------------------------------
@@ -21,10 +26,10 @@ def _btb(**kw):
 
 def test_discovery_then_hit():
     btb = _btb()
-    assert btb.lookup(0x1000).source == "miss"
+    assert btb.lookup(0x1000) == (None, "miss", 0)
     btb.discover(0x1000, 0x2000, Kind.BR_COND)
-    hit = btb.lookup(0x1000)
-    assert hit.source == "mbtb" and hit.entry.target == 0x2000
+    entry, source, extra = btb.lookup(0x1000)
+    assert source == "mbtb" and entry.target == 0x2000 and extra == 0
 
 
 def test_dense_line_spills_to_vbtb():
@@ -34,9 +39,9 @@ def test_dense_line_spills_to_vbtb():
     base = 0x4000
     for i in range(SLOTS_PER_LINE + 1):
         btb.discover(base + 4 * i, 0x9000 + i, Kind.BR_COND)
-    ninth = btb.lookup(base + 4 * SLOTS_PER_LINE)
-    assert ninth.source == "vbtb"
-    assert ninth.extra_bubbles == 1
+    _, source, extra = btb.lookup(base + 4 * SLOTS_PER_LINE)
+    assert source == "vbtb"
+    assert extra == 1
     assert btb.spills_to_vbtb == 1
 
 
@@ -46,7 +51,7 @@ def test_vbtb_capacity_evicts_lru():
     for i in range(SLOTS_PER_LINE + 3):  # 3 spills into a 2-entry vBTB
         btb.discover(base + 4 * i, 0x9000 + i, Kind.BR_COND)
     first_spilled = base + 4 * SLOTS_PER_LINE
-    assert btb.lookup(first_spilled).source == "miss"
+    assert btb.lookup(first_spilled)[1] == "miss"
 
 
 def test_evicted_line_refills_from_l2btb_with_latency():
@@ -55,11 +60,11 @@ def test_evicted_line_refills_from_l2btb_with_latency():
     for pc in pcs:
         btb.discover(pc, pc + 0x100, Kind.BR_UNCOND)
     # Line of pcs[0] was evicted to the L2BTB; looking it up refills.
-    result = btb.lookup(pcs[0])
-    assert result.source == "l2btb"
-    assert result.extra_bubbles >= btb.l2btb_fill_latency
+    _, source, extra = btb.lookup(pcs[0])
+    assert source == "l2btb"
+    assert extra >= btb.l2btb_fill_latency
     # Now resident again.
-    assert btb.lookup(pcs[0]).source == "mbtb"
+    assert btb.lookup(pcs[0])[1] == "mbtb"
 
 
 def test_l2btb_fill_bandwidth_affects_bubbles():
@@ -71,10 +76,10 @@ def test_l2btb_fill_bandwidth_affects_bubbles():
             btb.discover(base + 4 * i, 0x8000, Kind.BR_COND)
         btb.discover(0x4000, 0x8000, Kind.BR_COND)
         btb.discover(0x6000, 0x8000, Kind.BR_COND)  # evicts base line
-    s = slow.lookup(0x2000)
-    f = fast.lookup(0x2000)
-    assert s.source == f.source == "l2btb"
-    assert s.extra_bubbles > f.extra_bubbles
+    _, s_source, s_extra = slow.lookup(0x2000)
+    _, f_source, f_extra = fast.lookup(0x2000)
+    assert s_source == f_source == "l2btb"
+    assert s_extra > f_extra
 
 
 def test_empty_line_optimization_tracks_branch_free_lines():
@@ -119,7 +124,6 @@ def test_unconditional_entries_count_as_always_taken():
 def _spin_loop(ubtb, pc=0x1000, target=0x1000, iters=40):
     for _ in range(iters):
         ubtb.observe(pc, Kind.BR_COND, True, target)
-        ubtb.step_lock_state(pc)
 
 
 def test_ubtb_learns_and_locks_on_tight_loop():
@@ -180,8 +184,7 @@ def test_ubtb_capacity_evicts():
 def test_ubtb_indirect_branches_never_lock():
     u = MicroBTB(entries=16)
     for _ in range(40):
-        u.observe(0x500, Kind.BR_INDIRECT, True, 0x900)
-        assert not u.step_lock_state(0x500)
+        assert not u.observe(0x500, Kind.BR_INDIRECT, True, 0x900)
     assert not u.locked
 
 
@@ -193,12 +196,85 @@ def test_ubtb_gating_requires_low_lhp_miss_rate():
     for _ in range(200):
         for i in range(5):
             u.observe(0x700, Kind.BR_COND, i != 4, 0x700)
-            u.step_lock_state(0x700)
     node = u._get_node(0x700)
     if u.locked:
         pred = u.predict(0x700)
         if pred is not None and pred[2]:
             assert node.lhp_misses * 64 <= node.visits
+
+
+class _TouchOrder:
+    """The uBTB graph's LRU order under the touch sequence the unit once
+    made per branch: ``pc`` (or allocate it, evicting the oldest node of
+    its store), the previous branch's ``prev``, then ``pc`` again."""
+
+    def __init__(self, capacity: int, uncond_capacity: int) -> None:
+        self.stores = {False: (OrderedDict(), capacity),
+                       True: (OrderedDict(), uncond_capacity)}
+        self.prev = None
+
+    def _touch(self, pc: int) -> bool:
+        for store, _ in self.stores.values():
+            if pc in store:
+                store.move_to_end(pc)
+                return True
+        return False
+
+    def branch(self, pc: int, kind: Kind) -> None:
+        if not self._touch(pc):
+            uncond_only = kind != Kind.BR_COND and self.stores[True][1] > 0
+            store, cap = self.stores[uncond_only]
+            store[pc] = None
+            while len(store) > cap:
+                store.popitem(last=False)
+        if self.prev is not None:
+            self._touch(self.prev)
+        self._touch(pc)
+        self.prev = pc
+
+
+def _evicting_stream(seed: int, rounds: int):
+    """Branch records that keep a 48 + 48 node graph evicting: small
+    loop kernels, each repeated until the uBTB can lock onto it, between
+    sweeps over a pool of 240 branches of every kind."""
+    rng = random.Random(seed)
+    kinds = ((Kind.BR_COND,) * 5 + (Kind.BR_UNCOND,) * 2
+             + (Kind.BR_CALL, Kind.BR_RET, Kind.BR_INDIRECT))
+    pool = [(0x10000 + 12 * i, rng.choice(kinds)) for i in range(240)]
+
+    def record(pc, kind, taken):
+        taken = taken or kind != Kind.BR_COND
+        return TraceRecord(pc=pc, kind=kind, taken=taken,
+                           target=pc + 0x40 if taken else 0)
+
+    for _ in range(rounds):
+        kernel = rng.sample(pool, rng.randint(2, 6))
+        for _ in range(rng.randint(4, 14)):
+            for pc, kind in kernel:
+                yield record(pc, kind, rng.random() < 0.9)
+        for pc, kind in rng.sample(pool, 70):
+            yield record(pc, kind, rng.random() < 0.5)
+
+
+def test_ubtb_eviction_order_matches_the_old_touch_order():
+    """One lookup per branch keeps the net LRU order of the three the
+    unit made (``pc``, ``prev``, ``pc``): the first ``pc`` touch was
+    redundant, since nothing is allocated between it and the last one.
+    A full M5 graph evicts the same nodes after every branch."""
+    unit = BranchUnit(get_generation("M5"))
+    ubtb = unit.ubtb
+    assert (ubtb.capacity, ubtb.uncond_capacity) == (48, 48)
+    ref = _TouchOrder(ubtb.capacity, ubtb.uncond_capacity)
+    locked = 0
+    for rec in _evicting_stream(seed=11, rounds=60):
+        locked += ubtb.locked
+        unit.process_branch(rec)
+        ref.branch(rec.pc, rec.kind)
+        assert list(ubtb.nodes) == list(ref.stores[False][0])
+        assert list(ubtb.uncond_nodes) == list(ref.stores[True][0])
+    # Both stores filled and evicted, and the locked path ran.
+    assert len(ubtb.nodes) == len(ubtb.uncond_nodes) == 48
+    assert locked and ubtb.locked_predictions
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ def _train(shp, pc, outcomes):
     correct = 0
     for taken in outcomes:
         pred = shp.predict(pc)
-        if pred.taken == taken:
+        if pred[0] == taken:
             correct += 1
         shp.update(pc, taken, pred)
         shp.push_history(pc, True, taken)
@@ -61,12 +61,13 @@ def test_always_taken_filter_keeps_weights_clean():
 def test_filter_exits_on_first_not_taken():
     shp = ScaledHashedPerceptron(4, 256)
     _train(shp, 0x8000, [True] * 20)
+    filtered = shp.filtered_lookups
     pred = shp.predict(0x8000)
-    assert pred.filtered_always_taken
+    assert shp.filtered_lookups == filtered + 1  # in the filter state
     shp.update(0x8000, False, pred)
     shp.push_history(0x8000, True, False)
-    pred2 = shp.predict(0x8000)
-    assert not pred2.filtered_always_taken
+    shp.predict(0x8000)
+    assert shp.filtered_lookups == filtered + 1
 
 
 def test_learns_short_pattern_from_global_history():
@@ -76,7 +77,7 @@ def test_learns_short_pattern_from_global_history():
     acc_late = 0
     for i, taken in enumerate(pattern):
         pred = shp.predict(0x1000)
-        if i >= len(pattern) // 2 and pred.taken == taken:
+        if i >= len(pattern) // 2 and pred[0] == taken:
             acc_late += 1
         shp.update(0x1000, taken, pred)
         shp.push_history(0x1000, True, taken)
@@ -96,7 +97,7 @@ def test_long_loop_needs_long_ghist():
                 pred = shp.predict(0x2000)
                 if not taken and rep > 100:
                     exits += 1
-                    hits += pred.taken == taken
+                    hits += pred[0] == taken
                 shp.update(0x2000, taken, pred)
                 shp.push_history(0x2000, True, taken)
         return hits / max(1, exits)
@@ -108,9 +109,9 @@ def test_bias_weight_doubled_in_sum():
     shp = ScaledHashedPerceptron(4, 256)
     shp._bias[0x300] = 5
     shp._seen_not_taken[0x300] = True
-    pred = shp.predict(0x300)
-    table_sum = sum(shp.tables[t][i] for t, i in enumerate(pred.indices))
-    assert pred.total == table_sum + 10
+    _, total, indices = shp.predict(0x300)
+    table_sum = sum(shp.tables[t][i] for t, i in enumerate(indices))
+    assert total == table_sum + 10
 
 
 def test_weights_saturate():
@@ -227,7 +228,7 @@ def test_shp_indices_match_the_hash_formula(geometry, start, pcs, history,
         if rec is None:
             continue
         for pc in (rec.pc, virtual_pc(rec.pc, 0), virtual_pc(rec.pc, 4)):
-            assert shp._indices(pc) == _shp_indices(shp, pc)
+            assert tuple(shp._indices(pc)) == _shp_indices(shp, pc)
         if rec.is_conditional:
             shp.update(rec.pc, rec.taken, shp.predict(rec.pc))
         shp.push_history(rec.pc, rec.is_conditional, rec.taken)
