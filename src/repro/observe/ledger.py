@@ -16,7 +16,10 @@ inside a result payload or archive — so archives stay bit-identical
 with the ledger on or off (pinned by ``tests/test_ledger.py``).
 Appends are single ``write()`` calls on an ``O_APPEND`` handle, so
 concurrent runs interleave whole lines; a corrupt line (torn write,
-version skew) is skipped on read, never fatal.  The ledger is *not* a
+version skew) is skipped on read, never fatal.  ``gc`` reads the ledger
+and replaces it, so it holds an exclusive advisory lock on a sidecar
+file (``runs.lock``) that appends share: an append waits out a gc
+instead of landing in the file gc is about to replace.  The ledger is *not* a
 cache: replaying a record re-runs the simulation; the record exists so
 you can tell whether the re-run changed.
 
@@ -27,12 +30,14 @@ APIs); the wall-clock reads here are sanctioned by the simlint SIM002
 
 from __future__ import annotations
 
+import fcntl
 import hashlib
 import json
 import os
 import time
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, Iterator, List, Optional, Sequence
 
 from ..atomic import atomic_write
 
@@ -42,6 +47,8 @@ LEDGER_SCHEMA_VERSION = 1
 #: Ledger location under the cache root.
 LEDGER_DIRNAME = "ledger"
 LEDGER_FILENAME = "runs.jsonl"
+#: The sidecar lock file beside the ledger (see :func:`_locked`).
+LEDGER_LOCKNAME = "runs.lock"
 
 #: Environment switch: any of these values disables ledger writes.
 _DISABLE_VALUES = ("0", "off", "no", "false")
@@ -223,6 +230,22 @@ def single_run_record(result: Any, *, generation: str,
 # File IO
 # ---------------------------------------------------------------------------
 
+@contextmanager
+def _locked(path: Path, exclusive: bool) -> Iterator[None]:
+    """Hold an advisory ``flock`` on the ledger's sidecar lock file
+    (made, with its directory, if missing): shared by appends, which
+    ``O_APPEND`` already keeps whole, and exclusive for :func:`gc_ledger`'s
+    read and replace.  Closing the file releases the lock."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd = os.open(path.with_name(LEDGER_LOCKNAME), os.O_RDWR | os.O_CREAT,
+                 0o666)
+    try:
+        fcntl.flock(fd, fcntl.LOCK_EX if exclusive else fcntl.LOCK_SH)
+        yield
+    finally:
+        os.close(fd)
+
+
 def append_record(record: Dict[str, Any],
                   cache_dir: Optional[os.PathLike] = None) -> Optional[str]:
     """Append one record (one sorted-key JSON line) to the ledger.
@@ -233,9 +256,9 @@ def append_record(record: Dict[str, Any],
     path = ledger_path(cache_dir)
     line = json.dumps(record, sort_keys=True) + "\n"
     try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "a", encoding="utf-8") as f:
-            f.write(line)
+        with _locked(path, exclusive=False):
+            with open(path, "a", encoding="utf-8") as f:
+                f.write(line)
     except OSError:
         return None
     return str(record.get("id", ""))
@@ -285,20 +308,24 @@ def find_record(records: Sequence[Dict[str, Any]],
 
 
 def gc_ledger(keep: int, cache_dir: Optional[os.PathLike] = None) -> int:
-    """Drop all but the newest ``keep`` records (atomic rewrite).
+    """Drop all but the newest ``keep`` records (atomic rewrite, with
+    appends locked out).
 
     Returns the number of records removed.  ``keep <= 0`` empties the
     ledger.
     """
     path = ledger_path(cache_dir)
-    records = read_ledger(cache_dir)
-    kept = records[-keep:] if keep > 0 else []
-    removed = len(records) - len(kept)
-    if removed <= 0:
+    if not path.exists():
         return 0
-    text = "".join(json.dumps(r, sort_keys=True) + "\n" for r in kept)
     try:
-        atomic_write(path, text)
+        with _locked(path, exclusive=True):
+            records = read_ledger(cache_dir)
+            kept = records[-keep:] if keep > 0 else []
+            removed = len(records) - len(kept)
+            if removed <= 0:
+                return 0
+            atomic_write(path, "".join(json.dumps(r, sort_keys=True) + "\n"
+                                       for r in kept))
     except OSError:
         return 0
     return removed

@@ -13,10 +13,17 @@ The load-bearing invariants:
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.engine import execute_population, run
+from repro.observe import ledger
 from repro.observe.ledger import (LEDGER_SCHEMA_VERSION, append_record,
                                   compare_records, find_record, gc_ledger,
                                   ledger_enabled, ledger_path, read_ledger,
@@ -108,6 +115,39 @@ def test_gc_keeps_newest(tmp_path):
     assert gc_ledger(2, tmp_path) == 0  # already pruned
     assert gc_ledger(0, tmp_path) == 2
     assert read_ledger(tmp_path) == []
+
+
+def test_gc_locks_out_a_concurrent_append(tmp_path, monkeypatch):
+    """A record another process appends while gc holds the ledger
+    between its read and its replace waits for gc, then survives."""
+    for i in range(3):
+        append_record({"id": f"r{i}"}, cache_dir=tmp_path)
+    src = str(Path(repro.__file__).resolve().parent.parent)
+    script = ("import sys\n"
+              "from repro.observe.ledger import append_record\n"
+              "print('ready', flush=True)\n"
+              "append_record({'id': 'late'}, cache_dir=sys.argv[1])\n")
+    env = {**os.environ, "PYTHONPATH": src}
+    rewrite = ledger.atomic_write
+    blocked = []
+
+    def rewrite_after_an_append(path, data):
+        proc = subprocess.Popen([sys.executable, "-c", script,
+                                 str(tmp_path)], env=env,
+                                stdout=subprocess.PIPE, text=True)
+        assert proc.stdout.readline() == "ready\n"
+        time.sleep(0.5)  # ample time to append, were it not locked out
+        blocked.append(proc.poll() is None)
+        rewrite(path, data)
+        blocked.append(proc)
+
+    monkeypatch.setattr(ledger, "atomic_write", rewrite_after_an_append)
+    assert gc_ledger(2, tmp_path) == 1
+    still_running, proc = blocked
+    assert proc.wait(timeout=60) == 0
+    proc.stdout.close()
+    assert still_running
+    assert [r["id"] for r in read_ledger(tmp_path)] == ["r1", "r2", "late"]
 
 
 # ---------------------------------------------------------------------------
