@@ -78,8 +78,6 @@ class FileStore:
     def __init__(self, cache_dir: Optional[os.PathLike] = None) -> None:
         self.cache_dir = (Path(cache_dir) if cache_dir is not None
                           else default_cache_dir())
-        self.hits = 0
-        self.misses = 0
 
     def encode(self, value: Any) -> Union[str, bytes]:
         raise NotImplementedError
@@ -104,10 +102,6 @@ class FileStore:
                 path.unlink()
             except OSError:  # another process deleted it first
                 pass
-        if value is None:
-            self.misses += 1
-        else:
-            self.hits += 1
         return value
 
     def put(self, fingerprint: str, value: Any) -> None:
@@ -147,7 +141,8 @@ def clear_disk(cache_dir: Optional[os.PathLike] = None) -> int:
 
 
 class TaskCache:
-    """One engine run's view of the task cache (mode + hit counters)."""
+    """One engine run's view of the task cache: its mode, over the
+    process-wide memory tier and the disk tier."""
 
     def __init__(self, mode: str = "memory",
                  cache_dir: Optional[os.PathLike] = None) -> None:
@@ -158,30 +153,18 @@ class TaskCache:
         self.mode = mode
         self.files = _TaskFiles(cache_dir)
         self.cache_dir = self.files.cache_dir
-        self.memory_hits = 0
-        self.misses = 0
-
-    @property
-    def disk_hits(self) -> int:
-        return self.files.hits
-
-    @property
-    def hits(self) -> int:
-        return self.memory_hits + self.disk_hits
 
     def get(self, fingerprint: str) -> Optional[Dict[str, Any]]:
         if self.mode == "off":
             return None
         hit = _MEMORY.get(fingerprint)
         if hit is not None:
-            self.memory_hits += 1
             return dict(hit)
         if self.mode == "disk":
             payload = self.files.get(fingerprint)
             if payload is not None:
                 _MEMORY[fingerprint] = payload
                 return dict(payload)
-        self.misses += 1
         return None
 
     def put(self, fingerprint: str, payload: Dict[str, Any]) -> None:

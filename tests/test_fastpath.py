@@ -157,15 +157,15 @@ def _store_env(monkeypatch, tmp_path):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
 
 
-def test_store_round_trip_and_hit_counters(tmp_path):
+def test_store_round_trip(tmp_path):
     store = CompiledTraceStore(tmp_path)
     compiled = compile_trace(make_trace("specint_like", seed=2,
                                         n_instructions=800))
     fp = compiled_fingerprint("specint_like", 2, 800)
-    assert store.get(fp) is None and store.misses == 1
+    assert store.get(fp) is None
     store.put(fp, compiled)
     got = store.get(fp)
-    assert got is not None and store.hits == 1
+    assert got is not None
     assert _all_fields(got) == _all_fields(compiled)
 
 
