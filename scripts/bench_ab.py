@@ -2,7 +2,7 @@
 """Paired A/B comparison of perfbench's end-to-end metrics: a base
 commit against the working tree.
 
-Checks BASE out with ``git worktree add --detach`` into a temporary
+Extracts BASE's committed files with ``git archive`` into a temporary
 directory, then runs ``perfbench/run.py --trace 0`` on each side for
 ``--pairs`` pairs, flipping which side runs first in each pair, since
 the host's speed drifts over minutes.  For each end-to-end metric it
@@ -10,7 +10,7 @@ prints both sides' medians and quartiles, the pairs the working tree
 won, the paired sign-flip p-value
 (``repro.metrics.regress.permutation_pvalue``) and whether the median
 moved past the metric's ``BENCHMARK.json`` bound.  It removes the
-worktree on exit.  Run from anywhere inside the repository::
+extracted copy on exit.  Run from anywhere inside the repository::
 
     python scripts/bench_ab.py HEAD~1 --workload frontend_bound \\
         --pairs 10 --seed 1 --seconds 30
@@ -112,9 +112,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     base_root = tmp / "base"
     runs: Dict[str, List[dict]] = {"base": [], "change": []}
     try:
-        subprocess.run(["git", "worktree", "add", "--detach",
-                        str(base_root), args.base], cwd=ROOT, check=True,
-                       stdout=sys.stderr)
+        base_root.mkdir()
+        archive = subprocess.run(["git", "archive", args.base], cwd=ROOT,
+                                 check=True, capture_output=True).stdout
+        subprocess.run(["tar", "-x", "-C", str(base_root)], input=archive,
+                       check=True)
         sides = {"base": base_root, "change": ROOT}
         for pair in range(args.pairs):
             order = ("base", "change") if pair % 2 == 0 else ("change",
@@ -128,8 +130,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                   f"base {kips['base']:.1f}, change {kips['change']:.1f}",
                   file=sys.stderr)
     finally:
-        subprocess.run(["git", "worktree", "remove", "--force",
-                        str(base_root)], cwd=ROOT, capture_output=True)
         shutil.rmtree(tmp, ignore_errors=True)
 
     rows = summarize(runs, bench["end_to_end"])
