@@ -16,13 +16,17 @@ seed, checks every task's digest against the committed reference
 digests the way perfbench does, and exits 1 on any mismatch.  The
 ``builtins`` row counts calls into C functions and methods (``len``,
 ``list.append``, ...), the ``other`` row Python functions outside
-``repro``.
+``repro``.  A ``gc.callbacks`` hook also counts the cyclic garbage
+collector's collections during the profiled pass and the objects they
+freed: objects only that collector can free, such as a dropped
+simulator caught in a reference cycle.
 """
 
 from __future__ import annotations
 
 import argparse
 import cProfile
+import gc
 import importlib.util
 import pstats
 import sys
@@ -59,6 +63,20 @@ def group_of(filename: str, package: Path) -> str:
     return rel.parts[0].removesuffix(".py")
 
 
+class GcCount:
+    """A ``gc.callbacks`` hook: the cyclic collector's collections and
+    the objects they freed."""
+
+    def __init__(self) -> None:
+        self.collections = 0
+        self.collected = 0
+
+    def __call__(self, phase: str, info: Dict[str, int]) -> None:
+        if phase == "stop":
+            self.collections += 1
+            self.collected += info["collected"]
+
+
 def count_calls(profile: cProfile.Profile, package: Path) -> Counter:
     calls: Counter = Counter()
     for (filename, _, _), (_, ncalls, _, _, _) in \
@@ -83,15 +101,19 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     specs = bench.slice_specs(workload, seed)[:args.slices]
     checker = bench.Checker(bench.load_reference(workload.name, seed))
     iso = bench.Isolation()
+    collector = GcCount()
     try:
         iso.fresh()
         prepared = bench.prepare(specs)
         bench.serial_pass(specs, prepared, checker)
         profile = cProfile.Profile()
+        gc.callbacks.append(collector)
         profile.enable()
         done = bench.serial_pass(specs, prepared, checker)
         profile.disable()
     finally:
+        if collector in gc.callbacks:
+            gc.callbacks.remove(collector)
         iso.close()
 
     import repro
@@ -108,6 +130,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"{name:<{width}}  {n / instructions:>9.2f}  {n:>10d}")
     total = sum(rows.values())
     print(f"{'total':<{width}}  {total / instructions:>9.2f}  {total:>10d}")
+    print(f"cyclic GC in the profiled pass: {collector.collections} "
+          f"collections, {collector.collected} objects collected")
     if checker.failed:
         for line in checker.errors:
             print(f"callcount: digest mismatch: {line}", file=sys.stderr)

@@ -38,6 +38,7 @@ from typing import Callable, List, Optional, Union
 
 from ..config import GenerationConfig
 from ..frontend.predictor import BranchUnit
+from ..frontend.ubtb import UBTBNode
 from ..memory.hierarchy import MemoryHierarchy
 from ..metrics import formulas
 from ..metrics.registry import MetricRegistry, StatsView
@@ -103,19 +104,19 @@ class Scoreboard:
                  registry: Optional[MetricRegistry] = None,
                  sink: Optional[TraceSink] = None,
                  held: Optional[HeldEvents] = None,
-                 on_branch: Optional[Callable[[TraceRecord, int],
-                                              None]] = None,
+                 on_branch: Optional[Callable[
+                     [TraceRecord, int, Optional[UBTBNode]], None]] = None,
                  on_blocks: Optional[Callable[[int], None]] = None) -> None:
         self.config = config
         self.branch_unit = branch_unit
         self.memory = memory
-        #: Optional per-block hook ``(record, absolute_index)`` the
-        #: front-end pass calls after each branch, in stream order — the
-        #: simulator's UOC mode machine.
+        #: Optional per-block hook ``(record, absolute_index, ubtb_node)``
+        #: the front-end pass calls after each branch, in stream order —
+        #: the UOC mode machine.
         self.on_branch = on_branch
         #: Optional hook told how many blocks (branches) each front-end
-        #: pass ended, before the loop runs its chunk — the simulator's
-        #: fetch/decode energy without a UOC.
+        #: pass ended, before the loop runs its chunk — the fetch/decode
+        #: energy without a UOC.
         self.on_blocks = on_blocks
         #: Optional event sink; ``None`` (the default) disables
         #: tracing at the cost of one branch per instruction.
@@ -127,11 +128,13 @@ class Scoreboard:
         self.icache = icache
         self.stats = CoreStats(registry)
         if icache is not None:
+            # The gauges read the icache, not ``self``: the scoreboard
+            # reaches the registry, so that would close a cycle.
             reg = self.stats.registry
-            reg.gauge("core.icache.hits", lambda: self.icache.hits)
-            reg.gauge("core.icache.misses", lambda: self.icache.misses)
+            reg.gauge("core.icache.hits", lambda: icache.hits)
+            reg.gauge("core.icache.misses", lambda: icache.misses)
             reg.gauge("core.icache.fill_stall_cycles",
-                      lambda: self.icache.fill_stall_cycles)
+                      lambda: icache.fill_stall_cycles)
 
         c = config
         self._simple = _ports(c.simple_alus + c.complex_alus

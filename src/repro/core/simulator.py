@@ -12,16 +12,21 @@ formula — is one ``snapshot()`` away, and ``run()`` can emit per-N-
 instruction :class:`~repro.metrics.WindowSample` series for
 warmup-excludable IPC/MPKI time-series analysis.
 
-The front-end pass calls the simulator's per-block hook after each
-branch: the UOC mode machine; without a UOC, each pass charges its
-blocks' fetch and decode energy at once.  The branch unit and UOC emit
-into a held-event queue.
+The front-end pass calls a per-block hook after each branch: the UOC
+mode machine; without a UOC, each pass charges its blocks' fetch and
+decode energy at once.  The branch unit and UOC emit into a held-event
+queue.
+
+No component the simulator builds holds a reference back to it or to a
+component that reaches the shared registry (gauges read the structures
+they report, hooks hold only what they update), so a dropped simulator
+is freed by reference counting, not left to the cyclic collector.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 from ..config import GenerationConfig, get_generation
 from ..frontend.predictor import BranchStats, BranchUnit
@@ -33,7 +38,7 @@ from ..metrics import (DEFAULT_WINDOW_INSTRUCTIONS, WINDOW_COUNTERS,
 from ..observe.events import TraceEvent
 from ..observe.sink import HeldEvents, TraceSink
 from ..power import EnergyLedger
-from ..traces.types import Trace, TraceRecord
+from ..traces.types import Trace
 from ..uop_cache import UocController, UopCache
 from .scoreboard import CoreStats, Scoreboard
 
@@ -52,7 +57,9 @@ class SimulationResult:
     #: Per-interval metric windows (empty when windowing was disabled).
     windows: List[WindowSample] = field(default_factory=list)
     #: The shared registry behind the stats views (None for results
-    #: reconstructed from serialized records).
+    #: reconstructed from serialized records).  It keeps alive every
+    #: structure its gauges read, so the result stays readable after
+    #: its simulator is dropped.
     metrics: Optional[MetricRegistry] = None
     #: Pipeline event stream (empty unless the run was traced, see
     #: ``repro.run(..., trace_to=...)``).
@@ -95,8 +102,6 @@ class GenerationSimulator:
         self.trace_sink = trace_sink
         held = HeldEvents() if trace_sink is not None else None
         self.ledger = EnergyLedger(registry=self.metrics)
-        self._c_icache_fetch = self.ledger.cell("icache_fetch")
-        self._c_decode = self.ledger.cell("decode")
         self.branch_unit = BranchUnit(config, ledger=self.ledger,
                                       registry=self.metrics,
                                       sink=held)
@@ -113,23 +118,22 @@ class GenerationSimulator:
                 sink=held,
             )
         self.icache = InstructionCache(config, self.memory)
+        self._charge_blocks = (_block_charge(self.ledger)
+                               if self.uoc is None else None)
         self.scoreboard = Scoreboard(config, branch_unit=self.branch_unit,
                                      memory=self.memory,
                                      icache=self.icache,
                                      registry=self.metrics,
                                      sink=trace_sink,
                                      held=held,
-                                     on_branch=(self._uoc_on_branch
+                                     on_branch=(self.uoc.on_branch
                                                 if self.uoc is not None
                                                 else None),
-                                     on_blocks=(self._charge_blocks
-                                                if self.uoc is None
-                                                else None))
-        # Resumable run-segmentation state (see ``save_state``): the UOC
-        # block-stream cursor, the one-time trailing-block energy charge,
-        # and the window recorder shared across run segments.
-        self._uoc_block_pc: Optional[int] = None
-        self._uoc_last_branch = -1
+                                     on_blocks=self._charge_blocks)
+        # Resumable run-segmentation state (see ``save_state``; the UOC
+        # keeps its own block-stream cursor): the one-time trailing-block
+        # energy charge and the window recorder shared across run
+        # segments.
         self._legacy_base_charged = False
         self._recorder: Optional[WindowRecorder] = None
 
@@ -159,8 +163,8 @@ class GenerationSimulator:
         recorder = self._ensure_recorder(window_interval, window_counters)
         on_window = recorder.take if recorder is not None else None
         if self.uoc is not None:
-            if self._uoc_block_pc is None and len(trace):
-                self._uoc_block_pc = trace[0].pc
+            if self.uoc.block_pc is None and len(trace):
+                self.uoc.block_pc = trace[0].pc
         elif not self._legacy_base_charged:
             # The trailing block (after the last branch) is charged once
             # per *run*, up front; the pass charges every other block.
@@ -206,39 +210,6 @@ class GenerationSimulator:
                 "window configuration changed across run segments")
         return self._recorder
 
-    def _charge_blocks(self, count: int) -> None:
-        """Per-chunk hook without a UOC: one I-cache fetch and decode
-        per block."""
-        self._c_icache_fetch.value += count
-        self._c_decode.value += count
-
-    def _uoc_on_branch(self, rec: TraceRecord, index: int) -> None:
-        """Feed the basic block ended by ``rec`` into the UOC mode
-        machine.
-
-        Driven from the front-end pass, right after the branch unit
-        processed the record, so the uBTB's learned predictability for
-        each block reflects exactly the branches resolved before it —
-        the same information order as hardware, and the property that
-        makes a checkpointed run feed the UOC identically to an
-        uninterrupted one.
-
-        "Predictable" is instantaneous confidence OR an established
-        low lifetime miss rate: the uBTB zeroes confidence on every LHP
-        miss, so a trip-N loop exit (which misses 1/N of the time by
-        construction) would otherwise break the filter streak on every
-        iteration of a kernel that is exactly what the UOC exists to
-        serve.  Both signals live in checkpointed node state.
-        """
-        node = self.branch_unit.ubtb.last_node  # ``rec``'s, if resident
-        predictable = node is not None and (
-            node.confidence >= 3
-            or (node.visits >= 8 and node.lhp_misses * 8 <= node.visits))
-        self.uoc.on_block(self._uoc_block_pc, index - self._uoc_last_branch,
-                          predictable)
-        self._uoc_block_pc = rec.target if rec.taken else rec.pc + 4
-        self._uoc_last_branch = index
-
     # -- checkpointing (state_dict protocol) --------------------------------
 
     def save_state(self) -> dict[str, object]:
@@ -248,6 +219,7 @@ class GenerationSimulator:
         simulator built with the same config/corunners/sink setup."""
         from ..state import checkpoint_document
 
+        uoc = self.uoc
         payload = {
             "generation": self.config.name,
             "corunners": self.corunners,
@@ -263,8 +235,8 @@ class GenerationSimulator:
                 "scoreboard": self.scoreboard.state_dict(),
             },
             "uoc_drive": {
-                "block_pc": self._uoc_block_pc,
-                "last_branch": self._uoc_last_branch,
+                "block_pc": uoc.block_pc if uoc is not None else None,
+                "last_branch": uoc.last_branch if uoc is not None else -1,
             },
             "legacy_base_charged": self._legacy_base_charged,
             "recorder": (self._recorder.state_dict()
@@ -299,10 +271,11 @@ class GenerationSimulator:
         if self.uoc is not None:
             self.uoc.load_state_dict(comp["uoc"])
         self.scoreboard.load_state_dict(comp["scoreboard"])
-        drive = doc["uoc_drive"]
-        self._uoc_block_pc = (int(drive["block_pc"])
-                              if drive["block_pc"] is not None else None)
-        self._uoc_last_branch = int(drive["last_branch"])
+        if self.uoc is not None:
+            drive = doc["uoc_drive"]
+            self.uoc.block_pc = (int(drive["block_pc"])
+                                 if drive["block_pc"] is not None else None)
+            self.uoc.last_branch = int(drive["last_branch"])
         self._legacy_base_charged = bool(doc["legacy_base_charged"])
         if doc["recorder"] is not None:
             recorder = WindowRecorder(
@@ -315,3 +288,16 @@ class GenerationSimulator:
         if self.trace_sink is not None and doc["sink"] is not None:
             self.trace_sink.load_state_dict(doc["sink"])
 
+
+def _block_charge(ledger: EnergyLedger) -> Callable[[int], None]:
+    """The per-chunk hook without a UOC: one I-cache fetch and decode
+    per block.  It holds the two energy cells, not the simulator, so the
+    scoreboard keeping it closes no reference cycle."""
+    fetch = ledger.cell("icache_fetch")
+    decode = ledger.cell("decode")
+
+    def charge(count: int) -> None:
+        fetch.value += count
+        decode.value += count
+
+    return charge

@@ -83,12 +83,15 @@ class _LineStore:
 
     def install_line(self, line_base: int, entries: Dict[int, BTBEntry]
                      ) -> Optional[Tuple[int, Dict[int, BTBEntry]]]:
-        """Install/merge a line; returns an evicted (base, line) or None."""
+        """Install/merge a line; returns an evicted (base, line) or None.
+
+        A new line stores ``entries`` itself, not a copy: every caller
+        hands over a dict nothing else holds."""
         if line_base in self.lines:
             self.lines[line_base].update(entries)
             self.lines.move_to_end(line_base)
             return None
-        self.lines[line_base] = dict(entries)
+        self.lines[line_base] = entries
         self.lines.move_to_end(line_base)
         if len(self.lines) > self.capacity_lines:
             return self.lines.popitem(last=False)
@@ -303,10 +306,11 @@ class BTBHierarchy:
         )
 
     def state_dict(self) -> dict[str, object]:
-        # Entry objects are SHARED between mBTB and L2BTB lines
-        # (install_line copies the line dict shallowly), and that
-        # aliasing is architectural: training through one location is
-        # visible at the other.  Serialize a deduplicated entry pool
+        # Entry objects are SHARED between mBTB and L2BTB lines (an
+        # L2BTB refill copies the line dict shallowly, the one copy that
+        # keeps the two lines distinct dicts), and that aliasing is
+        # architectural: training through one location is visible at
+        # the other.  Serialize a deduplicated entry pool
         # plus per-structure references into it, so restore rebuilds
         # the exact sharing graph.
         pool: List[BTBEntry] = []

@@ -35,7 +35,7 @@ from .history import BranchStream
 from .mrb import MispredictRecoveryBuffer
 from .ras import ReturnAddressStack
 from .shp import ScaledHashedPerceptron
-from .ubtb import MicroBTB
+from .ubtb import MicroBTB, UBTBNode
 from .vpc import VPCPredictor
 
 #: Instruction size for fallthrough/return-address arithmetic.
@@ -137,7 +137,6 @@ class BranchUnit:
         self._c_vbtb_lookup = event("vbtb_lookup")
         self._c_l2btb_fill = event("l2btb_fill")
         self._build_structures(encrypt, decrypt)
-        self._bind_structure_gauges()
         #: Whether the previous retired branch was taken (ZAT/ZOT learning).
         self._prev_taken = False
         self._prev_line = -1
@@ -148,9 +147,10 @@ class BranchUnit:
     def _build_structures(self, encrypt: Optional[Callable[[int], int]] = None,
                           decrypt: Optional[Callable[[int], int]] = None
                           ) -> None:
-        """Build every predictor structure, empty, from the config: at
-        construction and on a ``context_switch("flush")``, so a flushed
-        unit has exactly a fresh unit's geometry."""
+        """Build every predictor structure, empty, from the config, and
+        bind its gauges: at construction and on a
+        ``context_switch("flush")``, so a flushed unit has exactly a
+        fresh unit's geometry."""
         bp = self.config.branch
         self.shp = ScaledHashedPerceptron(
             n_tables=bp.shp_tables,
@@ -184,34 +184,38 @@ class BranchUnit:
         self.mrb = MispredictRecoveryBuffer(bp.mrb_entries)
         self._has_mrb = self.mrb.enabled
         self._taken_bubbles = bp.mbtb_taken_bubbles
+        self._bind_structure_gauges()
 
     def _bind_structure_gauges(self) -> None:
         """Expose sub-structure counters as pull metrics.
 
-        The gauges read through ``self`` (not the structure instances)
-        so a ``context_switch("flush")``, which rebuilds the predictor
-        structures, never leaves a gauge pointing at a dead object.
+        Each gauge reads the structure it reports, never ``self``: the
+        unit reaches the registry, so a reader holding the unit would
+        close a reference cycle.  :meth:`_build_structures` re-binds
+        them whenever it rebuilds the structures (a flush), and the
+        registry replaces a re-bound reader.
         """
         reg = self.stats.registry
-        reg.gauge("frontend.btb.mbtb.hits", lambda: self.btb.hits_mbtb)
-        reg.gauge("frontend.btb.vbtb.hits", lambda: self.btb.hits_vbtb)
-        reg.gauge("frontend.btb.l2btb.hits", lambda: self.btb.hits_l2btb)
-        reg.gauge("frontend.btb.misses", lambda: self.btb.misses)
-        reg.gauge("frontend.btb.vbtb.spills", lambda: self.btb.spills_to_vbtb)
-        reg.gauge("frontend.btb.l2btb.fills", lambda: self.btb.l2btb_fills)
+        btb, ubtb, ras = self.btb, self.ubtb, self.ras
+        reg.gauge("frontend.btb.mbtb.hits", lambda: btb.hits_mbtb)
+        reg.gauge("frontend.btb.vbtb.hits", lambda: btb.hits_vbtb)
+        reg.gauge("frontend.btb.l2btb.hits", lambda: btb.hits_l2btb)
+        reg.gauge("frontend.btb.misses", lambda: btb.misses)
+        reg.gauge("frontend.btb.vbtb.spills", lambda: btb.spills_to_vbtb)
+        reg.gauge("frontend.btb.l2btb.fills", lambda: btb.l2btb_fills)
         reg.gauge("frontend.btb.empty_line_skips",
-                  lambda: self.btb.empty_line_skips)
-        reg.gauge("frontend.ubtb.lock_events", lambda: self.ubtb.lock_events)
+                  lambda: btb.empty_line_skips)
+        reg.gauge("frontend.ubtb.lock_events", lambda: ubtb.lock_events)
         reg.gauge("frontend.ubtb.unlock_events",
-                  lambda: self.ubtb.unlock_events)
+                  lambda: ubtb.unlock_events)
         reg.gauge("frontend.ubtb.locked_predictions",
-                  lambda: self.ubtb.locked_predictions)
+                  lambda: ubtb.locked_predictions)
         reg.gauge("frontend.ubtb.locked_mispredicts",
-                  lambda: self.ubtb.locked_mispredicts)
+                  lambda: ubtb.locked_mispredicts)
         reg.gauge("frontend.ubtb.gated_lookups",
-                  lambda: self.ubtb.gated_lookups)
-        reg.gauge("frontend.ras.overflows", lambda: self.ras.overflows)
-        reg.gauge("frontend.ras.underflows", lambda: self.ras.underflows)
+                  lambda: ubtb.gated_lookups)
+        reg.gauge("frontend.ras.overflows", lambda: ras.overflows)
+        reg.gauge("frontend.ras.underflows", lambda: ras.underflows)
 
     #: Arbiter heuristic: if recent uBTB lock episodes average fewer
     #: branches than this, the graph is thrashing (locking and immediately
@@ -545,18 +549,22 @@ class BranchUnit:
     # -- trace-level driver ------------------------------------------------------------
 
     def resolve(self, trace: CompiledTrace, start: int, stop: int,
-                on_branch: Optional[Callable[[TraceRecord, int], None]] = None,
+                on_branch: Optional[Callable[
+                    [TraceRecord, int, Optional[UBTBNode]], None]] = None,
                 offset: int = 0) -> List[Tuple[bool, int]]:
         """Process the branches of ``trace[start:stop]`` in order; returns
         each one's :meth:`process_branch` pair ``(mispredicted,
         bubbles)``.
 
-        ``on_branch(rec, offset + position)`` runs after each branch.  A
-        pass from ``start == 0`` binds the SHP and the LHP to the trace's
-        rows (the one bind site); instructions are not counted."""
+        ``on_branch(rec, offset + position, node)`` runs after each
+        branch, with the uBTB node the branch left (None when the uBTB
+        does not hold it).  A pass from ``start == 0`` binds the SHP and
+        the LHP to the trace's rows (the one bind site); instructions
+        are not counted."""
+        ubtb = self.ubtb
         if start == 0:
             self.shp.bind(trace)
-            self.ubtb.lhp.bind(trace)
+            ubtb.lhp.bind(trace)
         process = self.process_branch  # per pass: a patched-on wrapper sees it
         records = trace.branch_records()
         positions = BranchStream.of(trace).positions
@@ -567,7 +575,7 @@ class BranchUnit:
             rec = records[pos]
             outcomes.append(process(rec))
             if on_branch is not None:
-                on_branch(rec, pos + offset)
+                on_branch(rec, pos + offset, ubtb.last_node)
         return outcomes
 
     def run_trace(self, trace: Union[Trace, CompiledTrace]) -> BranchStats:

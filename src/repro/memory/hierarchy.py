@@ -159,7 +159,11 @@ class MemoryHierarchy:
         self._inflight: Dict[int, Tuple[float, float]] = {}
 
     def _bind_structure_gauges(self) -> None:
-        """Expose cache/TLB/DRAM structure counters as pull metrics."""
+        """Expose cache/TLB/DRAM structure counters as pull metrics.
+
+        Each gauge reads the structure it reports, never ``self``: the
+        hierarchy reaches the registry, so a reader holding it would
+        close a reference cycle."""
         reg = self.stats.registry
         for level, cache in (("l1", self.l1), ("l2", self.l2),
                              ("l3", self.l3)):
@@ -179,9 +183,9 @@ class MemoryHierarchy:
                 continue
             reg.gauge(f"mem.tlb.{level}.hits", lambda t=tlb: t.hits)
             reg.gauge(f"mem.tlb.{level}.misses", lambda t=tlb: t.misses)
-        reg.gauge("mem.tlb.walks", lambda: self.tlb.walks)
-        reg.gauge("mem.dram.page_hits", lambda: self.dram.page_hits)
-        reg.gauge("mem.dram.page_misses", lambda: self.dram.page_misses)
+        reg.gauge("mem.tlb.walks", lambda t=self.tlb: t.walks)
+        reg.gauge("mem.dram.page_hits", lambda d=self.dram: d.page_hits)
+        reg.gauge("mem.dram.page_misses", lambda d=self.dram: d.page_misses)
 
     # -- helpers ------------------------------------------------------------------
 

@@ -19,6 +19,7 @@ from typing import Optional
 from ..config import GenerationConfig
 from .cache import SetAssocCache
 from .hierarchy import MemoryHierarchy
+from .interconnect import MemoryPath, SnoopFilterDirectory
 from .tlb import Tlb
 
 
@@ -28,7 +29,18 @@ class InstructionCache:
     def __init__(self, config: GenerationConfig,
                  memory: Optional[MemoryHierarchy] = None) -> None:
         self.config = config
-        self.memory = memory
+        # Only the parts of the unified hierarchy a miss reads: the
+        # hierarchy itself reaches the metric registry, whose gauges read
+        # this cache, so holding it would close a reference cycle.
+        self.l2: Optional[SetAssocCache] = None
+        self.l3: Optional[SetAssocCache] = None
+        self.path: Optional[MemoryPath] = None
+        self.directory: Optional[SnoopFilterDirectory] = None
+        if memory is not None:
+            self.l2 = memory.l2
+            self.l3 = memory.l3
+            self.path = memory.path
+            self.directory = memory.directory
         self.l1i = SetAssocCache(config.l1i.size_bytes, config.l1i.ways,
                                  name="L1I")
         self.itlb = Tlb(config.l1i_tlb, "L1I-TLB")
@@ -64,22 +76,22 @@ class InstructionCache:
 
     def _supply_latency(self, line: int, now: float) -> float:
         cfg = self.config
-        if self.memory is None:
+        l2 = self.l2
+        if l2 is None:
             return cfg.l2_avg_latency
-        mem = self.memory
-        if mem.l2.probe(line, update_lru=False, count=False) is not None:
+        if l2.probe(line, update_lru=False, count=False) is not None:
             return cfg.l2_avg_latency
-        if (mem.l3 is not None
-                and mem.l3.probe(line, update_lru=False,
-                                 count=False) is not None):
+        if (self.l3 is not None
+                and self.l3.probe(line, update_lru=False,
+                                  count=False) is not None):
             return cfg.l3_avg_latency or 30.0
         # Instruction miss to DRAM: latency-critical read (Section IX
         # lists "instruction cache miss" among the classified reads).
-        trip = mem.path.dram_round_trip(
+        trip = self.path.dram_round_trip(
             line, latency_critical=True,
             bypassed_lookup_latency=(cfg.l3_avg_latency or 0.0) * 0.5)
-        mem.l2.fill(line)
-        mem.directory.note_filled(line)
+        l2.fill(line)
+        self.directory.note_filled(line)
         return trip.latency
 
     @property
@@ -88,8 +100,8 @@ class InstructionCache:
         return self.hits / total if total else 0.0
 
     # -- checkpointing (state_dict protocol) --------------------------------
-    # ``memory`` is a reference to the unified hierarchy, checkpointed by
-    # its owner.
+    # ``l2``, ``l3``, ``path`` and ``directory`` belong to the unified
+    # hierarchy, checkpointed by its owner (in place, so these stay live).
 
     def state_dict(self) -> dict[str, object]:
         return {

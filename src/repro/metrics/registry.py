@@ -11,9 +11,13 @@ the producers:
     the cell into a local and bump it inside their inner loops.
 ``Gauge``
     A pull metric: a zero-argument callable sampled at snapshot time.
-    Used for counters owned by replaceable sub-components (the BTB is
-    rebuilt on a context-switch flush; the gauge reads through the
-    owner so it always sees the live structure).
+    Used for counters that sub-components keep themselves.  A gauge
+    reads the structure it reports, never the component that owns it:
+    the owner reaches this registry, so a reader holding it would close
+    a reference cycle.  A structure that is rebuilt (the BTB, on a
+    context-switch flush) has its gauges re-bound, and re-binding a
+    name replaces its reader.  The registry keeps alive what its
+    gauges read, so it stays readable after its simulator is dropped.
 ``Formula``
     A derived metric computed from *named inputs*.  Formulas evaluate
     against any value mapping, so the same definition yields whole-run
@@ -235,7 +239,7 @@ class MetricRegistry:
         return values
 
     # -- checkpointing (state_dict protocol) ----------------------------
-    # Only counters are state: gauges read through live structures and
+    # Only counters are state: gauges read live structures and
     # formulas are pure functions — both rebuild at construction.
 
     def state_dict(self) -> dict[str, object]:

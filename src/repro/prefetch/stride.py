@@ -32,23 +32,45 @@ _HISTORY = 12
 _CAPTURE_WINDOW = 1 << 14
 
 
+class StridePattern:
+    """A stream's locked strides and its position in them: the one
+    generator that prefetch generation and the integrated confirmation
+    queue both step.  The stream and its queue share it, so the queue
+    holds no reference back to the stream."""
+
+    __slots__ = ("strides", "pos")
+
+    def __init__(self) -> None:
+        self.strides: Optional[Tuple[int, ...]] = None
+        self.pos = 0
+
+    def advance(self, addr: int) -> int:
+        """Next expected address after ``addr`` along the locked
+        strides (stateful in position)."""
+        strides = self.strides
+        if not strides:
+            return addr
+        step = strides[self.pos % len(strides)]
+        self.pos += 1
+        return addr + step
+
+
 class StrideStream:
     """One concurrent training stream."""
 
-    __slots__ = ("last_addr", "deltas", "pattern", "pattern_pos",
-                 "frontier", "degree", "confirm_queue", "lru")
+    __slots__ = ("last_addr", "deltas", "pattern", "frontier", "degree",
+                 "confirm_queue", "lru")
 
     def __init__(self, addr: int, min_degree: int, max_degree: int,
                  integrated: bool, confirmation_entries: int) -> None:
         self.last_addr = addr
         self.deltas: Deque[int] = deque(maxlen=_HISTORY)
-        self.pattern: Optional[Tuple[int, ...]] = None
-        self.pattern_pos = 0
+        self.pattern = StridePattern()
         self.frontier = addr
         self.degree = DynamicDegree(min_degree, max_degree)
         if integrated:
             self.confirm_queue = IntegratedConfirmationQueue(
-                self._advance_from, depth=min(4, confirmation_entries))
+                self.pattern.advance, depth=min(4, confirmation_entries))
         else:
             self.confirm_queue = ConfirmationQueue(confirmation_entries)
         self.lru = 0
@@ -63,32 +85,23 @@ class StrideStream:
             if len(d) < 2 * period:
                 continue
             if d[-period:] == d[-2 * period:-period] and any(d[-period:]):
-                self.pattern = tuple(d[-period:])
-                self.pattern_pos = 0
+                self.pattern.strides = tuple(d[-period:])
+                self.pattern.pos = 0
                 return
-
-    def _advance_from(self, addr: int) -> int:
-        """Next expected address after ``addr`` along the locked pattern
-        (stateful in pattern position — used by generation and by the
-        integrated confirmation queue which runs the same logic)."""
-        if not self.pattern:
-            return addr
-        step = self.pattern[self.pattern_pos % len(self.pattern)]
-        self.pattern_pos += 1
-        return addr + step
 
     @property
     def locked(self) -> bool:
-        return self.pattern is not None
+        return self.pattern.strides is not None
 
     # -- checkpointing (state_dict protocol) --------------------------------
 
     def state_dict(self) -> dict[str, object]:
+        strides = self.pattern.strides
         return {
             "last_addr": self.last_addr,
             "deltas": list(self.deltas),
-            "pattern": list(self.pattern) if self.pattern is not None else None,
-            "pattern_pos": self.pattern_pos,
+            "pattern": list(strides) if strides is not None else None,
+            "pattern_pos": self.pattern.pos,
             "frontier": self.frontier,
             "degree": self.degree.state_dict(),
             "confirm_queue": self.confirm_queue.state_dict(),
@@ -99,10 +112,10 @@ class StrideStream:
         self.last_addr = int(state["last_addr"])
         self.deltas = deque((int(d) for d in state["deltas"]),
                             maxlen=_HISTORY)
-        pattern = state["pattern"]
-        self.pattern = (tuple(int(p) for p in pattern)
-                        if pattern is not None else None)
-        self.pattern_pos = int(state["pattern_pos"])
+        strides = state["pattern"]
+        self.pattern.strides = (tuple(int(p) for p in strides)
+                                if strides is not None else None)
+        self.pattern.pos = int(state["pattern_pos"])
         self.frontier = int(state["frontier"])
         self.degree.load_state_dict(state["degree"])
         self.confirm_queue.load_state_dict(state["confirm_queue"])
@@ -169,16 +182,17 @@ class MultiStridePrefetcher:
             self.confirmed += 1
         stream.degree.record(confirmed)
 
-        was_locked = stream.locked
-        old_pattern = stream.pattern
-        stream.pattern = None
+        pattern = stream.pattern
+        old_strides = pattern.strides
+        pattern.strides = None
         stream._detect()
-        if not stream.locked:
+        strides = pattern.strides
+        if strides is None:
             return []
-        if not was_locked or stream.pattern != old_pattern:
+        if strides != old_strides:
             # Fresh lock (or pattern change): frontier restarts at demand.
             stream.frontier = line_addr
-            stream.pattern_pos = 0
+            pattern.pos = 0
             if self.integrated:
                 stream.confirm_queue.prime(line_addr)
         # Demand overtook the frontier: skip ahead (Section VII-B).
@@ -189,11 +203,12 @@ class MultiStridePrefetcher:
         # that IS the degree's definition; issuing further wastes power,
         # bandwidth and cache capacity (Section VII-B).
         degree = stream.degree.degree
-        step = max(1, abs(sum(stream.pattern)) // len(stream.pattern))
+        step = max(1, abs(sum(strides)) // len(strides))
         max_frontier = line_addr + degree * step
+        advance = pattern.advance
         out: List[int] = []
         while stream.frontier < max_frontier and len(out) < degree:
-            stream.frontier = stream._advance_from(stream.frontier)
+            stream.frontier = advance(stream.frontier)
             out.append(stream.frontier - stream.frontier % self.line_bytes)
             if not self.integrated:
                 stream.confirm_queue.note_prefetch(out[-1])

@@ -22,14 +22,18 @@ The front end operates in one of three modes:
 from __future__ import annotations
 
 import enum
-from typing import Dict, Optional
+from typing import TYPE_CHECKING, Dict, Optional
 
 from ..metrics import formulas
 from ..metrics.registry import MetricRegistry, StatsView
 from ..observe.events import UocModeEvent
 from ..observe.sink import TraceSink
 from ..power import EnergyLedger
+from ..traces.types import TraceRecord
 from .uoc import UopCache
+
+if TYPE_CHECKING:
+    from ..frontend.ubtb import UBTBNode
 
 
 class UocMode(enum.Enum):
@@ -80,9 +84,11 @@ class UocController:
         self.sink = sink
         self.ledger = (ledger if ledger is not None
                        else EnergyLedger(registry=self.stats.registry))
+        # The gauges read the uop cache, not ``self``: the controller
+        # reaches the registry, so that would close a cycle.
         reg = self.stats.registry
-        reg.gauge("uoc.cache.hits", lambda: self.uoc.hits)
-        reg.gauge("uoc.cache.misses", lambda: self.uoc.misses)
+        reg.gauge("uoc.cache.hits", lambda: uoc.hits)
+        reg.gauge("uoc.cache.misses", lambda: uoc.misses)
         self.mode = UocMode.FILTER
         #: uBTB-entry "built" bits, keyed by block start PC.
         self._built_bits: Dict[int, bool] = {}
@@ -90,8 +96,41 @@ class UocController:
         self._build_timer = 0
         self._build_edges = 0
         self._fetch_edges = 0
+        #: The block stream :meth:`on_branch` walks: the start PC of the
+        #: block in flight (None until a run names its first) and the
+        #: stream index of the branch that ended the block before it.
+        #: Checkpointed by the simulator (its ``uoc_drive`` entry).
+        self.block_pc: Optional[int] = None
+        self.last_branch = -1
 
     # -- main per-block event -----------------------------------------------------
+
+    def on_branch(self, rec: TraceRecord, index: int,
+                  node: Optional[UBTBNode]) -> None:
+        """Feed the basic block ended by ``rec``, the branch at stream
+        position ``index``, into the mode machine; ``node`` is the
+        branch's uBTB node, or None when the uBTB does not hold it.
+
+        The front-end pass calls this right after the branch unit
+        processed the record, so the uBTB's learned predictability for
+        each block reflects exactly the branches resolved before it —
+        the same information order as hardware, and the property that
+        makes a checkpointed run feed the UOC identically to an
+        uninterrupted one.
+
+        "Predictable" is instantaneous confidence OR an established
+        low lifetime miss rate: the uBTB zeroes confidence on every LHP
+        miss, so a trip-N loop exit (which misses 1/N of the time by
+        construction) would otherwise break the filter streak on every
+        iteration of a kernel that is exactly what the UOC exists to
+        serve.  Both signals live in checkpointed node state.
+        """
+        predictable = node is not None and (
+            node.confidence >= 3
+            or (node.visits >= 8 and node.lhp_misses * 8 <= node.visits))
+        self.on_block(self.block_pc, index - self.last_branch, predictable)
+        self.block_pc = rec.target if rec.taken else rec.pc + 4
+        self.last_branch = index
 
     def on_block(self, block_pc: int, n_uops: int,
                  ubtb_predictable: bool) -> UocMode:

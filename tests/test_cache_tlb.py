@@ -6,11 +6,14 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro
 from repro.config import GENERATION_ORDER, get_generation
 from repro.core import GenerationSimulator
 from repro.memory.cache import SetAssocCache
 from repro.memory.tlb import (PAGE_BYTES, PAGE_WALK_LATENCY, Tlb,
                               TranslationHierarchy)
+from repro.observe.sink import TraceSink
+from repro.traces import TraceSpec
 from repro.config import TlbConfig
 
 
@@ -239,3 +242,73 @@ def test_building_a_simulator_tracks_few_objects(gen):
     finally:
         gc.enable()
     assert created < 1000, f"{gen}: {created} GC-tracked objects"
+
+
+#: A branch-heavy slice, and a streaming one that locks the stride
+#: prefetcher (its integrated confirmation queue is on M3-M6).
+BRANCHY = TraceSpec("specint_like", 4, 3000)
+STREAM = TraceSpec("stream_like", 3, 2000)
+
+
+def _run(gen, spec, **kwargs):
+    sim = GenerationSimulator(gen, **kwargs)
+    return sim, sim.run(spec.build())
+
+
+def _split(gen, spec, between):
+    """One simulator runs ``spec``'s first half; ``between(sim)`` runs
+    at the cut and returns the simulator that runs the rest."""
+    trace = spec.build()
+    cut = len(trace) // 2
+    sim = GenerationSimulator(gen)
+    sim.run(trace.slice(0, cut), finalize=False)
+    sim = between(sim)
+    return sim, sim.run(trace.slice(cut))
+
+
+def _flushed(sim):
+    sim.branch_unit.context_switch("flush")
+    return sim
+
+
+def _restored(sim):
+    resumed = GenerationSimulator(sim.config)
+    resumed.restore(sim.save_state())
+    return resumed
+
+
+#: route -> (slice, a function of (generation, slice) that returns the
+#: last simulator it built, or None, and that simulator's result).
+DROP_ROUTES = {
+    "plain": (BRANCHY, _run),
+    "stream_like": (STREAM, _run),
+    "traced": (BRANCHY,
+               lambda gen, spec: _run(gen, spec, trace_sink=TraceSink())),
+    "flush": (BRANCHY, lambda gen, spec: _split(gen, spec, _flushed)),
+    "resume": (BRANCHY, lambda gen, spec: _split(gen, spec, _restored)),
+    "corunners": (BRANCHY, lambda gen, spec: _run(gen, spec, corunners=2)),
+    "repro.run": (STREAM, lambda gen, spec: (None, repro.run(spec, gen))),
+}
+
+
+@pytest.mark.parametrize("route", DROP_ROUTES)
+@pytest.mark.parametrize("gen", GENERATION_ORDER)
+def test_a_dropped_simulator_leaves_no_cyclic_garbage(gen, route):
+    # No object a simulator builds may sit on a reference cycle, so
+    # reference counting alone frees it and its result: the cyclic
+    # collector finds nothing once both are dropped.  The result's
+    # registry stays readable without its simulator.
+    spec, simulate = DROP_ROUTES[route]
+    gc.collect()
+    gc.disable()
+    try:
+        sim, result = simulate(gen, spec)
+        values = result.metrics.snapshot().values
+        del sim
+        assert result.metrics.snapshot().values == values
+        assert values["core.instructions"] == spec.n_instructions
+        del result
+        found = gc.collect()
+    finally:
+        gc.enable()
+    assert found == 0, f"{gen} {route}: {found} objects on reference cycles"
