@@ -6,8 +6,7 @@ Walks the DRAM path feature by feature:
 1. the baseline three-domain path (four async crossings + queueing),
 2. M4's dedicated data fast path,
 3. M5's speculative read overlapping the cache lookup,
-4. M5's early page activate sideband,
-5. the snoop-filter directory cancelling needless speculative reads.
+4. M5's early page activate sideband.
 
 Run:  python examples/memory_latency_tour.py
 """
@@ -54,16 +53,6 @@ def main() -> None:
     honored = dram3.early_activate(0x9000_0000)
     print(f"  under heavy load the controller may ignore the hint: "
           f"honoured={honored}")
-
-    print("\n== Snoop-filter directory as corrector predictor ==")
-    path = MemoryPath(m5, DramModel())
-    path.directory.note_filled(0xAA40)
-    cancelled = path.try_cancel_speculative(0xAA40)
-    print(f"  line on-cluster: speculative DRAM read cancelled={cancelled} "
-          "(saves bandwidth and power; the cache supplies the data)")
-    missed = path.try_cancel_speculative(0xBB80)
-    print(f"  line off-cluster: cancelled={missed} "
-          "(the speculative read carries the day)")
 
 
 if __name__ == "__main__":

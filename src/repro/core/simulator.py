@@ -131,9 +131,9 @@ class GenerationSimulator:
                                                 else None),
                                      on_blocks=self._charge_blocks)
         # Resumable run-segmentation state (see ``save_state``; the UOC
-        # keeps its own block-stream cursor): the one-time trailing-block
-        # energy charge and the window recorder shared across run
-        # segments.
+        # checkpoints its own block-stream cursor): the one-time
+        # trailing-block energy charge and the window recorder shared
+        # across run segments.
         self._legacy_base_charged = False
         self._recorder: Optional[WindowRecorder] = None
 
@@ -215,28 +215,24 @@ class GenerationSimulator:
     def save_state(self) -> dict[str, object]:
         """A versioned, JSON-serializable checkpoint of the whole
         simulator — every component's ``state_dict`` plus the run-
-        segmentation cursors.  Restore with :meth:`restore` on a fresh
-        simulator built with the same config/corunners/sink setup."""
+        segmentation cursors.  The registry holds every counter, the
+        ``energy.*`` event counts included.  Restore with
+        :meth:`restore` on a fresh simulator built with the same
+        config/corunners/sink setup."""
         from ..state import checkpoint_document
 
-        uoc = self.uoc
         payload = {
             "generation": self.config.name,
             "corunners": self.corunners,
             "instructions": self.scoreboard._index,
             "components": {
                 "metrics": self.metrics.state_dict(),
-                "ledger": self.ledger.state_dict(),
                 "branch_unit": self.branch_unit.state_dict(),
                 "memory": self.memory.state_dict(),
                 "icache": self.icache.state_dict(),
                 "uoc": (self.uoc.state_dict()
                         if self.uoc is not None else None),
                 "scoreboard": self.scoreboard.state_dict(),
-            },
-            "uoc_drive": {
-                "block_pc": uoc.block_pc if uoc is not None else None,
-                "last_branch": uoc.last_branch if uoc is not None else -1,
             },
             "legacy_base_charged": self._legacy_base_charged,
             "recorder": (self._recorder.state_dict()
@@ -263,28 +259,23 @@ class GenerationSimulator:
         comp = doc["components"]
         if (comp["uoc"] is None) != (self.uoc is None):
             raise ValueError("UOC presence mismatch vs checkpoint")
+        recorder = doc["recorder"]
+        # Built first: a recorder registers the counters it reads, which
+        # the registry then restores with the rest.
+        self._recorder = (
+            WindowRecorder(self.metrics, int(recorder["interval"]),
+                           counters=tuple(recorder["counters"]))
+            if recorder is not None else None)
         self.metrics.load_state_dict(comp["metrics"])
-        self.ledger.load_state_dict(comp["ledger"])
         self.branch_unit.load_state_dict(comp["branch_unit"])
         self.memory.load_state_dict(comp["memory"])
         self.icache.load_state_dict(comp["icache"])
         if self.uoc is not None:
             self.uoc.load_state_dict(comp["uoc"])
         self.scoreboard.load_state_dict(comp["scoreboard"])
-        if self.uoc is not None:
-            drive = doc["uoc_drive"]
-            self.uoc.block_pc = (int(drive["block_pc"])
-                                 if drive["block_pc"] is not None else None)
-            self.uoc.last_branch = int(drive["last_branch"])
         self._legacy_base_charged = bool(doc["legacy_base_charged"])
-        if doc["recorder"] is not None:
-            recorder = WindowRecorder(
-                self.metrics, int(doc["recorder"]["interval"]),
-                counters=tuple(doc["recorder"]["counters"]))
-            recorder.load_state_dict(doc["recorder"])
-            self._recorder = recorder
-        else:
-            self._recorder = None
+        if self._recorder is not None:
+            self._recorder.load_state_dict(recorder)
         if self.trace_sink is not None and doc["sink"] is not None:
             self.trace_sink.load_state_dict(doc["sink"])
 

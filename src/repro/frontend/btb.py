@@ -32,7 +32,7 @@ class BTBEntry:
     Besides the target, the entry carries the per-branch state the paper
     locates in the BTB: the SHP "local BIAS" weight lives here conceptually
     (owned by the SHP object), plus always/often-taken markers used by the
-    1AT/ZAT/ZOT accelerators and the UOC's "built" bit.
+    1AT/ZAT/ZOT accelerators.
     """
 
     pc: int
@@ -42,8 +42,6 @@ class BTBEntry:
     #: OT (often-taken, >=87.5%) branches for the redirect accelerators.
     taken_count: int = 0
     not_taken_count: int = 0
-    #: UOC BuildMode back-propagated bit (Section VI).
-    built: bool = False
     #: ZAT/ZOT replication: target of the next branch at this entry's
     #: target location, when that next branch is AT/OT (Figure 5).
     replicated_next_pc: Optional[int] = None
@@ -283,7 +281,6 @@ class BTBHierarchy:
             "kind": int(entry.kind),
             "taken_count": entry.taken_count,
             "not_taken_count": entry.not_taken_count,
-            "built": entry.built,
             "replicated_next_pc": entry.replicated_next_pc,
             "replicated_next_target": entry.replicated_next_target,
         }
@@ -296,7 +293,6 @@ class BTBHierarchy:
             kind=Kind(int(data["kind"])),
             taken_count=int(data["taken_count"]),
             not_taken_count=int(data["not_taken_count"]),
-            built=bool(data["built"]),
             replicated_next_pc=(
                 int(data["replicated_next_pc"])
                 if data["replicated_next_pc"] is not None else None),

@@ -37,7 +37,6 @@ class MispredictRecoveryBuffer:
 
         # Statistics.
         self.allocations = 0
-        self.replays = 0
         self.replay_hits = 0   # verified-matching addresses (bubbles saved)
         self.replay_misses = 0
 
@@ -85,7 +84,6 @@ class MispredictRecoveryBuffer:
         self._table.move_to_end(branch_pc)
         self._replay = list(seq)
         self._replay_pos = 0
-        self.replays += 1
         return True
 
     def verify_next(self, actual_address: int) -> Optional[bool]:
@@ -118,7 +116,6 @@ class MispredictRecoveryBuffer:
             "replay": list(self._replay),
             "replay_pos": self._replay_pos,
             "allocations": self.allocations,
-            "replays": self.replays,
             "replay_hits": self.replay_hits,
             "replay_misses": self.replay_misses,
         }
@@ -136,6 +133,5 @@ class MispredictRecoveryBuffer:
         self._replay = [int(a) for a in state["replay"]]
         self._replay_pos = int(state["replay_pos"])
         self.allocations = int(state["allocations"])
-        self.replays = int(state["replays"])
         self.replay_hits = int(state["replay_hits"])
         self.replay_misses = int(state["replay_misses"])

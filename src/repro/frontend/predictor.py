@@ -139,7 +139,6 @@ class BranchUnit:
         self._build_structures(encrypt, decrypt)
         #: Whether the previous retired branch was taken (ZAT/ZOT learning).
         self._prev_taken = False
-        self._prev_line = -1
         #: Zero-bubble arbiter decisions (Section IV-E): times the uBTB
         #: was suppressed in favour of the ZAT/ZOT path.
         self.arbiter_suppressions = 0
@@ -525,7 +524,6 @@ class BranchUnit:
             "confidence": self.confidence.state_dict(),
             "mrb": self.mrb.state_dict(),
             "prev_taken": self._prev_taken,
-            "prev_line": self._prev_line,
             "arbiter_suppressions": self.arbiter_suppressions,
         }
 
@@ -543,7 +541,6 @@ class BranchUnit:
         self.confidence.load_state_dict(state["confidence"])
         self.mrb.load_state_dict(state["mrb"])
         self._prev_taken = bool(state["prev_taken"])
-        self._prev_line = int(state["prev_line"])
         self.arbiter_suppressions = int(state["arbiter_suppressions"])
 
     # -- trace-level driver ------------------------------------------------------------

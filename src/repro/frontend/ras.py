@@ -24,13 +24,10 @@ class ReturnAddressStack:
         self._stack: List[int] = []
         self._encrypt = encrypt if encrypt is not None else (lambda t: t)
         self._decrypt = decrypt if decrypt is not None else (lambda t: t)
-        self.pushes = 0
-        self.pops = 0
         self.underflows = 0
         self.overflows = 0
 
     def push(self, return_address: int) -> None:
-        self.pushes += 1
         self._stack.append(self._encrypt(return_address))
         if len(self._stack) > self.entries:
             self._stack.pop(0)
@@ -38,7 +35,6 @@ class ReturnAddressStack:
 
     def pop(self) -> Optional[int]:
         """Predicted return target, or None on underflow."""
-        self.pops += 1
         if not self._stack:
             self.underflows += 1
             return None
@@ -72,8 +68,6 @@ class ReturnAddressStack:
         # built with the same CONTEXT_HASH for targets to decrypt.
         return {
             "stack": list(self._stack),
-            "pushes": self.pushes,
-            "pops": self.pops,
             "underflows": self.underflows,
             "overflows": self.overflows,
         }
@@ -83,8 +77,6 @@ class ReturnAddressStack:
         if len(stack) > self.entries:
             raise ValueError("RAS checkpoint deeper than this stack")
         self._stack = stack
-        self.pushes = int(state["pushes"])
-        self.pops = int(state["pops"])
         self.underflows = int(state["underflows"])
         self.overflows = int(state["overflows"])
 

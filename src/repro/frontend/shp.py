@@ -134,8 +134,6 @@ class ScaledHashedPerceptron:
         self._seen_not_taken: Dict[int, bool] = {}
 
         # Statistics.
-        self.lookups = 0
-        self.updates = 0
         self.filtered_lookups = 0
 
     # -- indexing -----------------------------------------------------------
@@ -218,7 +216,6 @@ class ScaledHashedPerceptron:
         sixteen) table weights; sum >= 0 predicts TAKEN, and a branch in
         the always-taken filter state predicts TAKEN whatever its sum.
         """
-        self.lookups += 1
         indices = self._indices(pc)
         bias = self._bias.get(pc)
         if bias is None:  # fresh branches lean weakly taken
@@ -258,7 +255,6 @@ class ScaledHashedPerceptron:
         """
         if prediction is None:
             prediction = self.predict(pc)
-            self.lookups -= 1  # internal re-lookup, not a real access
         predicted, total, indices = prediction
 
         # Maintain the always-taken filter state.
@@ -281,7 +277,6 @@ class ScaledHashedPerceptron:
         if not mispredicted and not margin_low:
             return
 
-        self.updates += 1
         self._adjust_theta(mispredicted, margin_low)
         # Saturating steps: every weight stays within its range.
         if taken:
@@ -339,8 +334,6 @@ class ScaledHashedPerceptron:
             "theta_counter": self._theta_counter,
             "bias": to_pairs(self._bias),
             "seen_not_taken": to_pairs(self._seen_not_taken),
-            "lookups": self.lookups,
-            "updates": self.updates,
             "filtered_lookups": self.filtered_lookups,
         }
 
@@ -362,8 +355,6 @@ class ScaledHashedPerceptron:
         self._seen_not_taken = {
             int(k): bool(v)
             for k, v in dict_from_pairs(state["seen_not_taken"]).items()}
-        self.lookups = int(state["lookups"])
-        self.updates = int(state["updates"])
         self.filtered_lookups = int(state["filtered_lookups"])
 
     # -- accounting -------------------------------------------------------------

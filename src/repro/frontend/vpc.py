@@ -135,7 +135,6 @@ class VPCPredictor:
         self._spill_lru: List[int] = []
 
         # Statistics.
-        self.predictions = 0
         self.vpc_hits = 0
         self.hash_hits = 0
         self.chain_overflows = 0
@@ -149,7 +148,6 @@ class VPCPredictor:
 
     def predict(self, pc: int) -> IndirectPrediction:
         """Walk the VPC chain (and the hash table when hybrid)."""
-        self.predictions += 1
         chain = self.chains.get(pc, ())
         vpc_limit = (
             min(len(chain), self.hybrid_vpc_targets)
@@ -229,11 +227,7 @@ class VPCPredictor:
             if self.is_hybrid else len(chain)
         )
         for i in range(min(match_pos + 1, train_limit)):
-            vpc = virtual_pc(pc, i)
-            taken = i == match_pos
-            pred = self.shp.predict(vpc)
-            self.shp.lookups -= 1  # training re-read, not a front-end access
-            self.shp.update(vpc, taken, pred)
+            self.shp.update(virtual_pc(pc, i), i == match_pos)
         if self.is_hybrid:
             self.hash_table.update(pc, actual_target)
         self.target_history.push(actual_target)
@@ -290,7 +284,6 @@ class VPCPredictor:
             "target_history": self.target_history.state_dict(),
             "hash_table": (to_pairs(self.hash_table.table)
                            if self.hash_table is not None else None),
-            "predictions": self.predictions,
             "vpc_hits": self.vpc_hits,
             "hash_hits": self.hash_hits,
             "chain_overflows": self.chain_overflows,
@@ -311,7 +304,6 @@ class VPCPredictor:
             self.hash_table.table = {
                 int(idx): (int(tag), int(target), int(conf))
                 for idx, (tag, target, conf) in table_state}
-        self.predictions = int(state["predictions"])
         self.vpc_hits = int(state["vpc_hits"])
         self.hash_hits = int(state["hash_hits"])
         self.chain_overflows = int(state["chain_overflows"])

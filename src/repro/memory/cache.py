@@ -35,9 +35,6 @@ class CacheLine:
     hit_count: int = 0
     #: Came back from the L3 after a previous castout (re-allocation).
     reallocated: bool = False
-    #: Replacement state for multi-state insertion: 0 = elevated (MRU),
-    #: 1 = ordinary, used by the coordinated L3 policy.
-    rrpv: int = 0
 
 
 class SetAssocCache:
@@ -182,7 +179,6 @@ class SetAssocCache:
                     "accessed": line.accessed,
                     "hit_count": line.hit_count,
                     "reallocated": line.reallocated,
-                    "rrpv": line.rrpv,
                 }] for sector, line in (s or {}).items()]
                 for s in self._sets
             ],
@@ -210,7 +206,6 @@ class SetAssocCache:
                     accessed=bool(d["accessed"]),
                     hit_count=int(d["hit_count"]),
                     reallocated=bool(d["reallocated"]),
-                    rrpv=int(d["rrpv"]),
                 )
             rebuilt.append(out or None)
         self._sets = rebuilt

@@ -26,7 +26,7 @@ from ..power import EnergyLedger
 from .cache import SetAssocCache
 from .coordinated import CoordinatedPolicy
 from .dram import DramModel
-from .interconnect import MemoryPath, SnoopFilterDirectory
+from .interconnect import MemoryPath
 from .mab import MissBufferPool
 from .tlb import TranslationHierarchy
 from ..prefetch import (
@@ -114,8 +114,7 @@ class MemoryHierarchy:
             base_latency=config.memlat.dram_base_latency,
             page_miss_penalty=config.memlat.dram_page_miss_penalty,
         )
-        self.directory = SnoopFilterDirectory()
-        self.path = MemoryPath(config.memlat, self.dram, self.directory)
+        self.path = MemoryPath(config.memlat, self.dram)
         self.coordinated = CoordinatedPolicy()
 
         pf = config.prefetch
@@ -306,9 +305,7 @@ class MemoryHierarchy:
             if l3_line is not None:
                 self.stats.l3_hits += 1
                 # Exclusive hierarchy: the line swaps back inward.
-                victim_sector = self.l3.invalidate(addr)
-                if victim_sector is not None:
-                    self.directory.note_filled(line)  # still on-cluster
+                self.l3.invalidate(addr)
                 self._fill_l1(addr, now, is_store)
                 l2_victim = self.l2.fill(addr)
                 new_l2 = self.l2.probe(addr, update_lru=False, count=False)
@@ -331,7 +328,6 @@ class MemoryHierarchy:
         self.ledger.record("dram_access")
         self._fill_l1(addr, now, is_store)
         l2_victim = self.l2.fill(addr)
-        self.directory.note_filled(line)
         if l2_victim is not None:
             self._handle_l2_castout(l2_victim)
         self._miss_level = "dram"
@@ -357,19 +353,14 @@ class MemoryHierarchy:
     def _handle_l2_castout(self, victim) -> None:
         """Coordinated exclusive-L3 castout handling (Section VIII-A)."""
         if self.l3 is None:
-            self.directory.note_evicted(victim.address)
             return
         decision = self.coordinated.classify_castout(victim)
         if not decision.allocate:
-            self.directory.note_evicted(victim.address)
             return
         for off in range(0, self.l2.sector_bytes, 64):
             if victim.valid_mask & (1 << (off // 64)):
-                l3_victim = self.l3.fill(victim.address + off,
-                                         dirty=victim.dirty,
-                                         insert_lru=not decision.elevated)
-                if l3_victim is not None:
-                    self.directory.note_evicted(l3_victim.address)
+                self.l3.fill(victim.address + off, dirty=victim.dirty,
+                             insert_lru=not decision.elevated)
 
     # -- prefetch issue ------------------------------------------------------------------
 
@@ -437,7 +428,6 @@ class MemoryHierarchy:
                 self._handle_l2_castout(l2_victim)
             if self.l3 is not None:
                 self.l3.invalidate(paddr)  # exclusivity
-            self.directory.note_filled(line)
         if to_l1:
             self.l1.fill(paddr, prefetched=True)
             self._inflight[line] = (ready, staged)
@@ -455,7 +445,6 @@ class MemoryHierarchy:
                 self.stats.prefetch_dram_traffic += 1
                 self.dram.access(buddy_line)
             self.l2.fill(buddy_line, prefetched=True)
-            self.directory.note_filled(buddy_line)
             if self.sink is not None:
                 self.sink.emit(PrefetchEvent(
                     seq=-1, cycle=now, addr=buddy_line, engine="buddy",
@@ -475,7 +464,6 @@ class MemoryHierarchy:
             "tlb": self.tlb.state_dict(),
             "mab": self.mab.state_dict(),
             "dram": self.dram.state_dict(),
-            "directory": self.directory.state_dict(),
             "path": self.path.state_dict(),
             "coordinated": self.coordinated.state_dict(),
             "stride": self.stride.state_dict(),
@@ -505,7 +493,6 @@ class MemoryHierarchy:
         self.tlb.load_state_dict(state["tlb"])
         self.mab.load_state_dict(state["mab"])
         self.dram.load_state_dict(state["dram"])
-        self.directory.load_state_dict(state["directory"])
         self.path.load_state_dict(state["path"])
         self.coordinated.load_state_dict(state["coordinated"])
         self.stride.load_state_dict(state["stride"])
@@ -531,7 +518,6 @@ class MemoryHierarchy:
                 self.stats.prefetch_dram_traffic += 1
                 self.dram.access(paddr)
                 target.fill(paddr, prefetched=True)
-                self.directory.note_filled(self._line(paddr))
                 if self.sink is not None:
                     self.sink.emit(PrefetchEvent(
                         seq=-1, cycle=now, addr=paddr, engine="standalone",

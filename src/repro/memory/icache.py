@@ -19,7 +19,7 @@ from typing import Optional
 from ..config import GenerationConfig
 from .cache import SetAssocCache
 from .hierarchy import MemoryHierarchy
-from .interconnect import MemoryPath, SnoopFilterDirectory
+from .interconnect import MemoryPath
 from .tlb import Tlb
 
 
@@ -35,12 +35,10 @@ class InstructionCache:
         self.l2: Optional[SetAssocCache] = None
         self.l3: Optional[SetAssocCache] = None
         self.path: Optional[MemoryPath] = None
-        self.directory: Optional[SnoopFilterDirectory] = None
         if memory is not None:
             self.l2 = memory.l2
             self.l3 = memory.l3
             self.path = memory.path
-            self.directory = memory.directory
         self.l1i = SetAssocCache(config.l1i.size_bytes, config.l1i.ways,
                                  name="L1I")
         self.itlb = Tlb(config.l1i_tlb, "L1I-TLB")
@@ -91,7 +89,6 @@ class InstructionCache:
             line, latency_critical=True,
             bypassed_lookup_latency=(cfg.l3_avg_latency or 0.0) * 0.5)
         l2.fill(line)
-        self.directory.note_filled(line)
         return trip.latency
 
     @property
@@ -100,8 +97,8 @@ class InstructionCache:
         return self.hits / total if total else 0.0
 
     # -- checkpointing (state_dict protocol) --------------------------------
-    # ``l2``, ``l3``, ``path`` and ``directory`` belong to the unified
-    # hierarchy, checkpointed by its owner (in place, so these stay live).
+    # ``l2``, ``l3`` and ``path`` belong to the unified hierarchy,
+    # checkpointed by its owner (in place, so these stay live).
 
     def state_dict(self) -> dict[str, object]:
         return {

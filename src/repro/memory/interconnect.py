@@ -9,9 +9,10 @@ buffering.  Three generational features shorten it:
   bypasses the cache-return/interconnect queuing stages and replaces the
   two inbound crossings with one direct crossing.
 - **Speculative read** (M5): latency-critical reads issue to the coherent
-  interconnect in parallel with the L2/L3 tag checks; the interconnect's
-  snoop-filter directory predicts whether the line is actually on-cluster
-  and cancels the speculative DRAM read if so ("corrector predictor").
+  interconnect in parallel with the L2/L3 tag checks.  In silicon the
+  interconnect's snoop-filter directory cancels the DRAM read of a line
+  that is on-cluster; the model launches a DRAM read only after every
+  cache level missed, so it has no such read to cancel.
 - **Early page activate** (M5): a sideband hint that opens the DRAM page
   ahead of the read (see :mod:`repro.memory.dram`).
 """
@@ -19,48 +20,9 @@ buffering.  Three generational features shorten it:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Set
 
 from ..config import MemoryLatencyConfig
 from .dram import DramModel
-
-
-class SnoopFilterDirectory:
-    """Interconnect-resident directory of lines cached on the cluster.
-
-    The speculative-read feature "utilizes the directory lookup to further
-    predict with high probability whether the requested cache line may be
-    present in the bypassed lower levels of cache" (Section IX).
-    """
-
-    def __init__(self) -> None:
-        self._present: Set[int] = set()
-        self.lookups = 0
-        self.cancels = 0
-
-    def note_filled(self, line_addr: int) -> None:
-        self._present.add(line_addr)
-
-    def note_evicted(self, line_addr: int) -> None:
-        self._present.discard(line_addr)
-
-    def predicts_present(self, line_addr: int) -> bool:
-        self.lookups += 1
-        return line_addr in self._present
-
-    # -- checkpointing (state_dict protocol) --------------------------------
-
-    def state_dict(self) -> dict[str, object]:
-        return {
-            "present": sorted(self._present),
-            "lookups": self.lookups,
-            "cancels": self.cancels,
-        }
-
-    def load_state_dict(self, state: dict[str, object]) -> None:
-        self._present = {int(a) for a in state["present"]}
-        self.lookups = int(state["lookups"])
-        self.cancels = int(state["cancels"])
 
 
 @dataclass
@@ -68,9 +30,6 @@ class DramPathResult:
     """Latency of a full DRAM round trip, with feature attribution."""
 
     latency: float
-    device_latency: float
-    crossings: float
-    queueing: float
     fast_path_used: bool = False
     speculative: bool = False
     early_activated: bool = False
@@ -79,13 +38,10 @@ class DramPathResult:
 class MemoryPath:
     """Composes crossing/queue/device latencies per generation features."""
 
-    def __init__(self, cfg: MemoryLatencyConfig, dram: DramModel,
-                 directory: Optional[SnoopFilterDirectory] = None) -> None:
+    def __init__(self, cfg: MemoryLatencyConfig, dram: DramModel) -> None:
         self.cfg = cfg
         self.dram = dram
-        self.directory = directory or SnoopFilterDirectory()
         self.speculative_reads = 0
-        self.speculative_cancels = 0
 
     def dram_round_trip(self, addr: int, latency_critical: bool = False,
                         bypassed_lookup_latency: float = 0.0
@@ -124,35 +80,15 @@ class MemoryPath:
         total = serial_lookup + outbound + device + inbound
         return DramPathResult(
             latency=total,
-            device_latency=device,
-            crossings=(2 * cfg.async_crossing_latency
-                       + (cfg.async_crossing_latency if fast
-                          else 2 * cfg.async_crossing_latency)),
-            queueing=cfg.interconnect_queue_latency * (1 if fast else 2),
             fast_path_used=fast,
             speculative=speculative,
             early_activated=early,
         )
 
-    def try_cancel_speculative(self, line_addr: int) -> bool:
-        """Directory check for an in-flight speculative read: True when the
-        line is on-cluster and the DRAM read is cancelled (saving bandwidth
-        and power, not latency — the cache supplies the data)."""
-        if self.directory.predicts_present(line_addr):
-            self.speculative_cancels += 1
-            self.directory.cancels += 1
-            return True
-        return False
-
     # -- checkpointing (state_dict protocol) --------------------------------
 
     def state_dict(self) -> dict[str, object]:
-        # The directory is owned (and restored) by the hierarchy.
-        return {
-            "speculative_reads": self.speculative_reads,
-            "speculative_cancels": self.speculative_cancels,
-        }
+        return {"speculative_reads": self.speculative_reads}
 
     def load_state_dict(self, state: dict[str, object]) -> None:
         self.speculative_reads = int(state["speculative_reads"])
-        self.speculative_cancels = int(state["speculative_cancels"])

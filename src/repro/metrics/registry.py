@@ -247,10 +247,18 @@ class MetricRegistry:
                              for name, cell in self._counters.items()}}
 
     def load_state_dict(self, state: dict[str, object]) -> None:
-        for name, value in state["counters"].items():
+        """Restore every counter's value; a counter this registry has
+        not registered (an energy event outside the ledger's table, a
+        structure this configuration lacks) raises ``ValueError``."""
+        counters = state["counters"]
+        unknown = sorted(set(counters) - set(self._counters))
+        if unknown:
+            raise ValueError(f"checkpoint names counters this registry "
+                             f"does not have: {unknown}")
+        for name, value in counters.items():
             # int-vs-float matters: counters stay integral under integer
             # adds, and JSON preserves the distinction — assign as-is.
-            self.counter(name).value = value
+            self._counters[name].value = value
 
     def dump(self, derived: bool = True) -> str:
         """Hierarchical text rendering (gem5 ``stats.txt`` flavour)."""

@@ -81,23 +81,6 @@ class EnergyLedger:
             return self._cells[event].value * self.table[event]
         return sum(self._cells[e].value * c for e, c in self.table.items())
 
-    # -- checkpointing (state_dict protocol) --------------------------------
-    # The energy table is configuration; only the event counts are state.
-    # (When the ledger shares a simulator's registry the same cells also
-    # appear in the registry checkpoint — restoring both is idempotent
-    # because values are absolute.)
-
-    def state_dict(self) -> dict[str, object]:
-        return {"counts": {event: cell.value
-                           for event, cell in self._cells.items()}}
-
-    def load_state_dict(self, state: dict[str, object]) -> None:
-        for event, value in state["counts"].items():
-            if event not in self._cells:
-                raise ValueError(f"unknown energy event {event!r} in "
-                                 f"checkpoint")
-            self._cells[event].value = value
-
     def merged(self, other: "EnergyLedger") -> "EnergyLedger":
         out = EnergyLedger(self.table)
         for src in (self, other):

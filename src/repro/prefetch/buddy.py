@@ -39,7 +39,6 @@ class BuddyPrefetcher:
         self.issued = 0
         self.useful = 0
         self.disables = 0
-        self.enables = 0
 
     def buddy_of(self, line_addr: int) -> int:
         """The other 64B line in the same 128B sector."""
@@ -77,7 +76,6 @@ class BuddyPrefetcher:
             self._probe_countdown = self.PROBE_INTERVAL
         elif not self.enabled and frac >= self.MIN_USEFUL_FRACTION:
             self.enabled = True
-            self.enables += 1
         self._issued_window = 0
         self._useful_window = 0
 
@@ -93,7 +91,6 @@ class BuddyPrefetcher:
             "issued": self.issued,
             "useful": self.useful,
             "disables": self.disables,
-            "enables": self.enables,
         }
 
     def load_state_dict(self, state: dict[str, object]) -> None:
@@ -106,4 +103,3 @@ class BuddyPrefetcher:
         self.issued = int(state["issued"])
         self.useful = int(state["useful"])
         self.disables = int(state["disables"])
-        self.enables = int(state["enables"])

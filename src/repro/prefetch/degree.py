@@ -27,7 +27,6 @@ class DynamicDegree:
         self._window_confirms = 0
         self._window_events = 0
         self.raises = 0
-        self.lowers = 0
 
     def record(self, confirmed: bool) -> None:
         """Feed one window event (a prefetch that was/wasn't confirmed)."""
@@ -41,7 +40,6 @@ class DynamicDegree:
                 self.raises += 1
             elif frac <= self.LOWER_FRACTION and self.degree > self.min_degree:
                 self.degree = max(self.min_degree, self.degree // 2)
-                self.lowers += 1
             self._window_confirms = 0
             self._window_events = 0
 
@@ -58,7 +56,6 @@ class DynamicDegree:
             "window_confirms": self._window_confirms,
             "window_events": self._window_events,
             "raises": self.raises,
-            "lowers": self.lowers,
         }
 
     def load_state_dict(self, state: dict[str, object]) -> None:
@@ -66,4 +63,3 @@ class DynamicDegree:
         self._window_confirms = int(state["window_confirms"])
         self._window_events = int(state["window_events"])
         self.raises = int(state["raises"])
-        self.lowers = int(state["lowers"])

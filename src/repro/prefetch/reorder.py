@@ -32,7 +32,6 @@ class AddressReorderBuffer:
         self._recent_cap = 8
         self._next_release = 0
         self._next_seq = 0
-        self.inserted = 0
         self.deduped = 0
         self.overflow_releases = 0
 
@@ -42,7 +41,6 @@ class AddressReorderBuffer:
     def insert(self, addr: int, seq: int = -1) -> List[int]:
         """Insert one address (auto-sequenced when ``seq`` is -1); returns
         line addresses released to the training unit, in program order."""
-        self.inserted += 1
         if seq < 0:
             seq = self._next_seq
         self._next_seq = max(self._next_seq, seq + 1)
@@ -100,7 +98,6 @@ class AddressReorderBuffer:
             "recent": list(self._recent),
             "next_release": self._next_release,
             "next_seq": self._next_seq,
-            "inserted": self.inserted,
             "deduped": self.deduped,
             "overflow_releases": self.overflow_releases,
         }
@@ -113,6 +110,5 @@ class AddressReorderBuffer:
         self._recent = [int(a) for a in state["recent"]]
         self._next_release = int(state["next_release"])
         self._next_seq = int(state["next_seq"])
-        self.inserted = int(state["inserted"])
         self.deduped = int(state["deduped"])
         self.overflow_releases = int(state["overflow_releases"])

@@ -2,14 +2,15 @@
 
 Every stateful component in the tree — frontend predictors, the memory
 hierarchy and its prefetchers, the uop-cache mode machine, the
-scoreboard's in-flight timing state, the metric registry and the energy
-ledger — implements the same two methods, PyTorch-style:
+scoreboard's in-flight timing state and the metric registry (which
+holds the energy ledger's counts) — implements the same two methods,
+PyTorch-style:
 
 ``state_dict() -> dict``
     A **JSON-serializable** snapshot of the component's mutable state.
     Derived/rebuildable values (sizes computed in ``__init__``, gauge
     readers, formula definitions, cipher callables) are *not* captured;
-    only what evolves during simulation is.
+    only what evolves during simulation and a resumed run reads is.
 
 ``load_state_dict(state) -> None``
     Restore the component **in place** to exactly that snapshot.  In
@@ -54,7 +55,11 @@ from .atomic import atomic_write
 #: 1 — initial protocol: per-component state dicts under
 #:     ``components``, scoreboard in-flight timing state, window
 #:     recorder state, sink sequence continuation.
-CHECKPOINT_SCHEMA_VERSION = 1
+#: 2 — only state a resumed run reads: the registry alone holds the
+#:     ``energy.*`` counts, the UOC block cursor moved under
+#:     ``components.uoc``, and no snoop-filter directory, dead fields
+#:     or counters nothing reports.
+CHECKPOINT_SCHEMA_VERSION = 2
 
 
 # ---------------------------------------------------------------------------

@@ -57,7 +57,6 @@ class ProgramWalker:
         self._call_stack: List[int] = []
         self._ghist: List[int] = []
         self._target_history: List[int] = []  # global indirect-target PCs
-        self._emitted = 0
         self._last_load_distance: Optional[int] = None
 
     # -- internal helpers ---------------------------------------------------
@@ -223,7 +222,6 @@ class ProgramWalker:
 
     def _finish(self, records: List[TraceRecord], name: str,
                 family: str) -> Trace:
-        self._emitted += len(records)
         return Trace(name=name, family=family, records=records, seed=self.seed)
 
 

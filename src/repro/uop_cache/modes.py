@@ -99,7 +99,6 @@ class UocController:
         #: The block stream :meth:`on_branch` walks: the start PC of the
         #: block in flight (None until a run names its first) and the
         #: stream index of the branch that ended the block before it.
-        #: Checkpointed by the simulator (its ``uoc_drive`` entry).
         self.block_pc: Optional[int] = None
         self.last_branch = -1
 
@@ -244,7 +243,8 @@ class UocController:
 
     # -- checkpointing (state_dict protocol) --------------------------------
     # The ``uoc.*`` counters live in the registry; the ledger is owned by
-    # the simulator.  Only the mode machine + the uop cache are ours.
+    # the simulator.  The mode machine, its block cursor and the uop
+    # cache are ours.
 
     def state_dict(self) -> dict[str, object]:
         from ..state import to_pairs
@@ -257,6 +257,8 @@ class UocController:
             "build_timer": self._build_timer,
             "build_edges": self._build_edges,
             "fetch_edges": self._fetch_edges,
+            "block_pc": self.block_pc,
+            "last_branch": self.last_branch,
         }
 
     def load_state_dict(self, state: dict[str, object]) -> None:
@@ -268,3 +270,6 @@ class UocController:
         self._build_timer = int(state["build_timer"])
         self._build_edges = int(state["build_edges"])
         self._fetch_edges = int(state["fetch_edges"])
+        block_pc = state["block_pc"]
+        self.block_pc = int(block_pc) if block_pc is not None else None
+        self.last_branch = int(state["last_branch"])

@@ -27,7 +27,6 @@ class UopCache:
         self._resident_uops = 0
         self.hits = 0
         self.misses = 0
-        self.builds = 0
         self.squashed_builds = 0
 
     def probe(self, block_pc: int) -> bool:
@@ -60,7 +59,6 @@ class UopCache:
             return False
         self._blocks[block_pc] = n_uops
         self._resident_uops += n_uops
-        self.builds += 1
         return True
 
     @property
@@ -85,7 +83,6 @@ class UopCache:
             "blocks": to_pairs(self._blocks),
             "hits": self.hits,
             "misses": self.misses,
-            "builds": self.builds,
             "squashed_builds": self.squashed_builds,
         }
 
@@ -100,5 +97,4 @@ class UopCache:
                 f"capacity is {self.capacity_uops}")
         self.hits = int(state["hits"])
         self.misses = int(state["misses"])
-        self.builds = int(state["builds"])
         self.squashed_builds = int(state["squashed_builds"])

@@ -4,7 +4,7 @@ import pytest
 
 from repro.config import MemoryLatencyConfig
 from repro.memory.dram import DramModel
-from repro.memory.interconnect import MemoryPath, SnoopFilterDirectory
+from repro.memory.interconnect import MemoryPath
 from repro.memory.mab import MissBufferPool
 from repro.memory.coordinated import CoordinatedPolicy
 from repro.memory.cache import CacheLine
@@ -86,14 +86,6 @@ def test_speculative_read_only_for_latency_critical():
     r = p.dram_round_trip(0x1000, latency_critical=False,
                           bypassed_lookup_latency=15.0)
     assert not r.speculative
-
-
-def test_directory_cancel():
-    p = _path(has_speculative_read=True)
-    p.directory.note_filled(0x40)
-    assert p.try_cancel_speculative(0x40)
-    p.directory.note_evicted(0x40)
-    assert not p.try_cancel_speculative(0x40)
 
 
 def test_early_activate_flows_through_path():

@@ -1,6 +1,7 @@
 """Memory hierarchy integration paths not covered elsewhere: Buddy at the
 L2, the standalone engine at the L3, coordinated bypass, speculative-read
-counters, and DRAM statistics through full simulations."""
+and early-activate counters, and DRAM statistics through full
+simulations."""
 
 from repro.config import get_generation
 from repro.core import GenerationSimulator
@@ -54,6 +55,7 @@ def test_speculative_read_counters_on_m5():
     for i in range(64):
         m.access(0x0, 0x200_0000 + i * (1 << 16), now=float(i * 50))
     assert m.path.speculative_reads > 0
+    assert m.dram.early_activates_honored > 0
 
 
 def test_no_speculative_read_before_m5():
@@ -61,6 +63,7 @@ def test_no_speculative_read_before_m5():
     for i in range(32):
         m.access(0x0, 0x200_0000 + i * (1 << 16), now=float(i * 50))
     assert m.path.speculative_reads == 0
+    assert m.dram.early_activates_honored == 0
 
 
 def test_dram_page_hits_on_streaming():

@@ -77,6 +77,16 @@ def test_restore_rejects_mismatched_simulator():
     bad["schema"] = CHECKPOINT_SCHEMA_VERSION + 1
     with pytest.raises(ValueError, match="schema"):
         validate_checkpoint(bad)
+    # Schema 1 also kept a ledger copy of the energy counts and the UOC
+    # cursor outside the UOC; this build does not read it.
+    with pytest.raises(ValueError, match="schema 1"):
+        GenerationSimulator("M5").restore(dict(doc, schema=1))
+    # An energy event outside the ledger's table, or any counter the
+    # simulator does not have, is refused, not silently created.
+    unknown = _json_roundtrip(doc)
+    unknown["components"]["metrics"]["counters"]["energy.bogus"] = 1
+    with pytest.raises(ValueError, match="energy.bogus"):
+        GenerationSimulator("M5").restore(unknown)
 
 
 # ---------------------------------------------------------------------------
